@@ -70,14 +70,35 @@ class ExperimentConfig:
             raise InputError("omega must be >= 1 and delta positive")
 
 
+def _field_accepts(type_name: str, value) -> bool:
+    """Whether a JSON value fits a config field annotated ``type_name``."""
+    if type_name == "bool":
+        return isinstance(value, bool)
+    if isinstance(value, bool):
+        return False
+    if type_name == "int":
+        return isinstance(value, int)
+    if type_name == "float":
+        return isinstance(value, (int, float))
+    return isinstance(value, str)
+
+
 def _apply_config_file(cfg: ExperimentConfig, path: str):
-    with open(path) as fh:
-        doc = json.load(fh)
-    valid = {f.name for f in fields(ExperimentConfig)}
+    with open(path, "rb") as fh:  # OSError here is an I/O failure (exit 2)
+        raw = fh.read()
+    try:
+        doc = json.loads(raw)
+    except ValueError as exc:
+        raise InputError(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputError("config file must hold a JSON object")
+    types = {f.name: f.type for f in fields(ExperimentConfig)}
     for key, value in doc.items():
-        if key not in valid:
+        if key not in types:
             raise InputError(f"unknown config key {key!r}")
-        setattr(cfg, key, value)
+        if not _field_accepts(types[key], value):
+            raise InputError(f"config key {key!r} must be of type {types[key]}, got {value!r}")
+        setattr(cfg, key, float(value) if types[key] == "float" else value)
 
 
 def _config_from_args(args) -> ExperimentConfig:
@@ -172,6 +193,7 @@ def run_learn(cfg: ExperimentConfig, model: MixtureSource):
     start = time.perf_counter()
     wmin = cfg.wmin if cfg.wmin > 0 else model.w_min
     xi = cfg.varsigma ** (8 * cfg.k**2) if cfg.varsigma > 0 else None
+    counts = [cfg.samples1, cfg.samples2, cfg.samples_hi]  # sampled mode reports the counts drawn
 
     if cfg.mode == "oracle":
         inputs = OracleInputs(model)
@@ -182,7 +204,6 @@ def run_learn(cfg: ExperimentConfig, model: MixtureSource):
         survival = None
     else:
         gen = rng.child(3).generator()
-        counts = [cfg.samples1, cfg.samples2, cfg.samples_hi]
         if cfg.poisson:
             counts = [int(gen.poisson(c)) for c in counts]
         batch1 = draw_snapshots(model, 1, counts[0], rng.child(11))
@@ -221,9 +242,9 @@ def run_learn(cfg: ExperimentConfig, model: MixtureSource):
         "run_id": _run_id(cfg),
         "n": cfg.n,
         "k": cfg.k,
-        "N1": cfg.samples1,
-        "N2": cfg.samples2,
-        "Nhi": cfg.samples_hi,
+        "N1": counts[0],
+        "N2": counts[1],
+        "Nhi": counts[2],
         "seed": cfg.seed,
         "tran_dist": tran,
         "max_l1_err": l1,
@@ -266,11 +287,12 @@ def cmd_generate(args) -> int:
 def cmd_learn(args) -> int:
     cfg = _config_from_args(args)
     try:
-        with open(args.model) as fh:
-            model = MixtureSource.from_json(fh.read())
+        with open(args.model, "rb") as fh:
+            text = fh.read()
     except OSError as exc:
         print(f"error: cannot read model: {exc}", file=sys.stderr)
         return EXIT_IO
+    model = MixtureSource.from_json(text)
     if cfg.k != model.k or cfg.n != model.n:
         cfg.k, cfg.n = model.k, model.n
     try:
@@ -388,7 +410,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import eigvalsh_desc, project_to_simplex
+from .linalg import project_to_simplex
 from .lp import LpInfeasible, solve_lp
 from .model import InputError, KSpikeDistribution
 
@@ -238,8 +238,8 @@ def solve_lambda(g, xi: float, k: int):
     b_ub[2 * k] = budget
     try:
         sol = solve_lp(cost, a_ub=a_ub, b_ub=b_ub)
-    except LpInfeasible as exc:  # pragma: no cover - must not happen
-        raise AssertionError("annihilator LP infeasible; corrupt moment input") from exc
+    except LpInfeasible as exc:
+        raise InputError("corrupt statistics: annihilator LP infeasible") from exc
     lam = np.empty(k + 1)
     lam[:k] = sol.x[:k] - sol.x[k:2 * k]
     lam[k] = 1.0
@@ -307,7 +307,7 @@ def solve_weights(locations, g, tol=1e-12, max_iter=100000, patience=200):
         return np.ones(1)
     v = vandermonde(locations, 2 * k)
     gram = v @ v.T
-    lip = 2.0 * max(eigvalsh_desc(gram)[0], 1e-12)
+    lip = 2.0 * max(np.linalg.eigvalsh(gram)[-1], 1e-12)
     step = 1.0 / lip
 
     def objective(y):

@@ -1,10 +1,5 @@
-"""In-repo dense linear algebra kernels: Jacobi eigendecomposition and friends.
-
-The eigensolver is a cyclic Jacobi iteration on symmetric matrices.  It stops
-once the off-diagonal Frobenius mass falls below ``rel_tol`` times the
-Frobenius norm of the input, which is the accuracy the pipeline needs for its
-rank decisions (those always use explicit thresholds, never machine-epsilon
-heuristics).
+"""Dense linear algebra helpers: the symmetric eigensolver wrapper and the
+Euclidean projection onto the probability simplex.
 """
 
 from __future__ import annotations
@@ -13,21 +8,20 @@ import numpy as np
 
 __all__ = [
     "jacobi_eigh",
-    "eigvalsh_desc",
-    "operator_norm_sym",
-    "orthonormalize",
     "project_to_simplex",
 ]
 
 
-def jacobi_eigh(a, rel_tol=1e-12, max_sweeps=100):
-    """Eigendecompose a symmetric matrix by cyclic Jacobi rotations.
+def jacobi_eigh(a):
+    """Eigendecompose a symmetric matrix with LAPACK (``numpy.linalg.eigh``).
+
+    The name is kept for the benchmark's tracer (``perfbench/tracing.py``),
+    which wraps it by this name to time the eigendecompositions of
+    ``estimate_A`` and ``width_report``.
 
     Parameters
     ----------
     a : (n, n) array, symmetric.
-    rel_tol : stop when the off-diagonal Frobenius mass is at most
-        ``rel_tol * ||a||_F``.
 
     Returns
     -------
@@ -40,91 +34,8 @@ def jacobi_eigh(a, rel_tol=1e-12, max_sweeps=100):
         raise ValueError("matrix must be square")
     if n and np.abs(a - a.T).max(initial=0.0) > 1e-8 * (1.0 + np.abs(a).max()):
         raise ValueError("matrix must be symmetric")
-    a = 0.5 * (a + a.T)
-    v = np.eye(n)
-    if n <= 1:
-        return a.diagonal().copy(), v
-
-    fro = np.linalg.norm(a)
-    if fro == 0.0:
-        return np.zeros(n), v
-    target = rel_tol * fro
-    # skipping rotations below this floor cannot push off(A) back above target
-    skip = target * np.sqrt(2.0) / n
-
-    def off_norm(m):
-        return np.sqrt(max(np.linalg.norm(m) ** 2 - np.dot(m.diagonal(), m.diagonal()), 0.0))
-
-    for _ in range(max_sweeps):
-        rotated = False
-        for p in range(n - 1):
-            row = a[p]
-            for q in range(p + 1, n):
-                apq = row[q]
-                if abs(apq) <= skip:
-                    continue
-                rotated = True
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                ap = a[p].copy()
-                aq = a[q].copy()
-                a[p] = c * ap - s * aq
-                a[q] = s * ap + c * aq
-                ap = a[:, p].copy()
-                aq = a[:, q].copy()
-                a[:, p] = c * ap - s * aq
-                a[:, q] = s * ap + c * aq
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-                row = a[p]
-        if not rotated or off_norm(a) <= target:
-            break
-    else:
-        raise RuntimeError("jacobi iteration did not converge")
-
-    w = a.diagonal().copy()
-    order = np.argsort(-w, kind="stable")
-    return w[order], v[:, order]
-
-
-def eigvalsh_desc(a, rel_tol=1e-12):
-    """Eigenvalues of a symmetric matrix, descending."""
-    w, _ = jacobi_eigh(a, rel_tol=rel_tol)
-    return w
-
-
-def operator_norm_sym(a, rel_tol=1e-12):
-    """Spectral norm of a symmetric matrix (largest |eigenvalue|)."""
-    w = eigvalsh_desc(a, rel_tol=rel_tol)
-    return float(np.abs(w).max(initial=0.0))
-
-
-def orthonormalize(cols, tol=1e-12):
-    """Orthonormalize the columns of ``cols`` by modified Gram-Schmidt.
-
-    Raises ValueError when the columns are numerically rank deficient.
-    """
-    q = np.array(cols, dtype=float)
-    if q.ndim != 2:
-        raise ValueError("expected a 2-d array of column vectors")
-    n, k = q.shape
-    for j in range(k):
-        for i in range(j):
-            q[:, j] -= np.dot(q[:, i], q[:, j]) * q[:, i]
-        # second pass for numerical orthogonality
-        for i in range(j):
-            q[:, j] -= np.dot(q[:, i], q[:, j]) * q[:, i]
-        norm = np.linalg.norm(q[:, j])
-        if norm <= tol:
-            raise ValueError("rank-deficient column set")
-        q[:, j] /= norm
-    return q
+    w, v = np.linalg.eigh(0.5 * (a + a.T))
+    return w[::-1], v[:, ::-1]
 
 
 def project_to_simplex(v):

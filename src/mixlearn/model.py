@@ -40,6 +40,8 @@ def _check_distribution(vec, what, tol=WEIGHT_TOL):
     vec = np.asarray(vec, dtype=float)
     if vec.ndim != 1 or vec.size == 0:
         raise InputError(f"{what} must be a nonempty 1-d vector")
+    if not np.isfinite(vec).all():
+        raise InputError(f"{what} has non-finite entries")
     if vec.min() < -tol:
         raise InputError(f"{what} has negative entries")
     if abs(vec.sum() - 1.0) > tol:
@@ -108,9 +110,16 @@ class MixtureSource:
 
     @classmethod
     def from_json(cls, text):
-        doc = json.loads(text)
-        src = cls(np.array(doc["weights"]), np.array(doc["constituents"]))
-        if src.n != doc["n"] or src.k != doc["k"]:
+        """Parse a model document; any decode, shape or type fault is an InputError."""
+        try:
+            doc = json.loads(text)
+            weights = np.asarray(doc["weights"], dtype=float)
+            constituents = np.asarray(doc["constituents"], dtype=float)
+            n, k = doc["n"], doc["k"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise InputError(f"malformed model document: {type(exc).__name__}: {exc}") from exc
+        src = cls(weights, constituents)
+        if src.n != n or src.k != k:
             raise InputError("model document n/k fields do not match arrays")
         return src
 

@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_CHUNK = 1 << 16  # elements per chunk of uniforms in AliasTable.sample and binarize
 
 
 def _splitmix64(x):
@@ -80,8 +81,14 @@ class AliasTable:
 
     def sample(self, gen: np.random.Generator, size):
         idx = gen.integers(0, self.accept.size, size=size)
-        keep = gen.random(size=size) < self.accept[idx]
-        return np.where(keep, idx, self.alias[idx])
+        flat = idx.reshape(-1)
+        # acceptance uniforms in chunks keep the temporaries small; the
+        # generator yields the same doubles as one call of the full size
+        for lo in range(0, flat.size, _CHUNK):
+            part = flat[lo:lo + _CHUNK]
+            reject = gen.random(part.size) >= self.accept[part]
+            part[reject] = self.alias[part[reject]]
+        return idx
 
 
 @dataclass(frozen=True)
@@ -190,4 +197,9 @@ def binarize(values, rng: RngStream):
     if values.size and (values.min() < 0.0 or values.max() > 1.0):
         raise InputError("binarize expects values in [0, 1]")
     gen = rng.generator()
-    return (gen.random(size=values.shape) < values).astype(np.int8)
+    bits = np.empty(values.shape, dtype=np.int8)
+    flat_v, flat_b = values.reshape(-1), bits.reshape(-1)
+    for lo in range(0, flat_v.size, _CHUNK):
+        chunk = flat_v[lo:lo + _CHUNK]
+        flat_b[lo:lo + _CHUNK] = gen.random(chunk.size) < chunk
+    return bits

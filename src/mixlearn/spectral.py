@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import jacobi_eigh, operator_norm_sym, orthonormalize
+from .linalg import jacobi_eigh
 from .model import InputError
 from .sampling import RngStream, SnapshotBatch
 
@@ -115,13 +115,16 @@ def random_basis(sub: SpectralSubspace, rng: RngStream):
     """Uniformly random orthonormal basis of the retained eigenspace.
 
     Columns of the result span exactly span(basis); the rotation is Haar by
-    orthonormalizing a Gaussian coefficient matrix.
+    orthonormalizing a Gaussian coefficient matrix.  The QR factor's column
+    signs are fixed so that diag(R) > 0, which makes Q the one modified
+    Gram-Schmidt returns.
     """
     if sub.kprime < 1:
         raise InputError("degenerate subspace: kprime = 0")
     gen = rng.generator()
     mix = gen.standard_normal((sub.kprime, sub.kprime))
-    return orthonormalize(sub.basis @ mix)
+    q, r = np.linalg.qr(sub.basis @ mix)
+    return q * np.copysign(1.0, np.diag(r))
 
 
 def projector_distance(u, v):
@@ -133,4 +136,4 @@ def projector_distance(u, v):
     if v.shape[0] == 1 and v.shape[1] > 1:
         v = v.T
     diff = u @ u.T - v @ v.T
-    return operator_norm_sym(diff)
+    return float(np.abs(np.linalg.eigvalsh(diff)).max(initial=0.0))

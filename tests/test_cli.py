@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import mixlearn.cli as cli
 from mixlearn.cli import (
     CSV_HEADER,
     EXIT_CONFIG,
@@ -11,8 +12,10 @@ from mixlearn.cli import (
     ExperimentConfig,
     generate_source,
     main,
+    run_learn,
 )
 from mixlearn.model import MixtureSource, width_report
+from mixlearn.sampling import draw_snapshots
 
 
 class TestGenerate:
@@ -54,6 +57,29 @@ class TestLearnCommand:
         rc = main(["learn", "--model", str(model), "--mode", "sampled", "--samples1", "-3"])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("text", ['{"n": "abc"}', '{"n": 20,', '[1, 2]', '{"n": true}',
+                                      '{"n": 20.0}', '{"zeta": "0.5"}', '{"poisson": 1}'])
+    def test_malformed_config_exits_3(self, tmp_path, text):
+        model = self._model(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        rc = main(["learn", "--model", str(model), "--config", str(cfg_path)])
+        assert rc == EXIT_CONFIG
+
+    def test_unreadable_config_exits_2(self, tmp_path):
+        model = self._model(tmp_path)
+        rc = main(["learn", "--model", str(model), "--config", str(tmp_path)])
+        assert rc == EXIT_IO
+
+    @pytest.mark.parametrize("text", [
+        "not json", '{"n": 2}', '{"weights": [1.0], "constituents": "x"}',
+        '{"n": 2, "k": 2, "weights": [0.5, 0.5], "constituents": [[NaN, NaN], [0.5, 0.5]]}'])
+    def test_malformed_model_exits_3(self, tmp_path, text):
+        model = tmp_path / "model.json"
+        model.write_text(text)
+        rc = main(["learn", "--model", str(model), "--mode", "oracle"])
+        assert rc == EXIT_CONFIG
+
     def test_oracle_learn_runs(self, tmp_path, capsys):
         model = self._model(tmp_path)
         rc = main(["learn", "--model", str(model), "--mode", "oracle",
@@ -84,7 +110,8 @@ class TestLearnCommand:
     def test_config_file_overrides_flags(self, tmp_path, capsys):
         model = self._model(tmp_path)
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"mode": "oracle", "delta": 1e-8, "zeta": 0.6}))
+        # an int is a valid value for a float field (omega)
+        cfg_path.write_text(json.dumps({"mode": "oracle", "delta": 1e-8, "zeta": 0.6, "omega": 4}))
         rc = main(["learn", "--model", str(model), "--mode", "sampled",
                    "--config", str(cfg_path), "--seed", "3"])
         assert rc == EXIT_OK  # oracle mode from the config file wins
@@ -108,6 +135,23 @@ class TestLearnCommand:
         out = capsys.readouterr().out.splitlines()
         row = dict(zip(CSV_HEADER.split(","), out[1].split(",")))
         assert float(row["tran_dist"]) < 0.5
+
+    def test_poisson_row_reports_drawn_counts(self, monkeypatch):
+        drawn = []
+
+        def recording_draw(*args):
+            batch = draw_snapshots(*args)
+            drawn.append(len(batch))
+            return batch
+
+        monkeypatch.setattr(cli, "draw_snapshots", recording_draw)
+        model = generate_source(ExperimentConfig(n=12, k=2, seed=5, zeta=0.6))
+        cfg = ExperimentConfig(n=12, k=2, seed=4, samples1=20000, samples2=20000,
+                               samples_hi=20000, zeta=0.6, delta=1e-8, poisson=True)
+        report, _ = run_learn(cfg, model)
+        row = report["row"]
+        assert [row["N1"], row["N2"], row["Nhi"]] == drawn
+        assert drawn != [20000, 20000, 20000]
 
     def test_isotropize_path_runs(self, tmp_path):
         model = self._model(tmp_path, n=8, k=2, zeta=0.5, seed=11)

@@ -149,6 +149,11 @@ class TestSolveLambda:
         lam = solve_lambda(moments_of(d).values, xi=1e-12, k=2)
         assert np.allclose(lam, [0.0, -1.0, 1.0], atol=1e-7)
 
+    def test_infeasible_lp_is_typed_error(self):
+        # no monic x + lam_0 has |g_0 lam_0 + g_1| <= 2 xi when g_0 = 0, g_1 = 1
+        with pytest.raises(InputError, match="annihilator LP infeasible"):
+            solve_lambda(np.array([0.0, 1.0]), 1e-6, 1)
+
     def test_matches_enumeration_oracle(self, rng):
         from mixlearn.lp import brute_force_lp
 

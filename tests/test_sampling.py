@@ -49,6 +49,14 @@ class TestAliasTable:
         draws = table.sample(RngStream(2).generator(), 1000)
         assert np.all(draws == 1)
 
+    @pytest.mark.parametrize("size", [1, 1000, (70000, 3), 200001])
+    def test_chunked_draws_equal_one_shot_reference(self, size):
+        table = AliasTable([0.05, 0.5, 0.15, 0.3])
+        gen = RngStream(4).generator()
+        idx = gen.integers(0, 4, size=size)
+        want = np.where(gen.random(size=size) < table.accept[idx], idx, table.alias[idx])
+        assert np.array_equal(table.sample(RngStream(4).generator(), size), want)
+
 
 class TestDrawSnapshots:
     def test_point_mass_source(self):
@@ -126,6 +134,13 @@ class TestBinarize:
     def test_rejects_out_of_range(self):
         with pytest.raises(InputError):
             binarize(np.array([1.2]), RngStream(0))
+
+    @pytest.mark.parametrize("shape", [(5,), (70000, 3), (200001,)])
+    def test_chunked_draws_equal_one_shot_reference(self, shape):
+        vals = np.random.default_rng(3).random(shape)
+        want = (RngStream(5).generator().random(size=shape) < vals).astype(np.int8)
+        got = binarize(vals, RngStream(5))
+        assert got.dtype == np.int8 and np.array_equal(got, want)
 
     def test_nbm_consistency_against_exact(self):
         # binarized snapshots from the projected source match the exact NBMs

@@ -13,6 +13,33 @@ def batch2(pairs):
     return SnapshotBatch(aperture=2, rows=np.array(pairs, dtype=np.int64))
 
 
+def modified_gram_schmidt(cols):
+    """Orthonormalize columns in order, with one re-orthogonalization pass."""
+    q = np.array(cols, dtype=float)
+    for j in range(q.shape[1]):
+        for _ in range(2):
+            for i in range(j):
+                q[:, j] -= np.dot(q[:, i], q[:, j]) * q[:, i]
+        q[:, j] /= np.linalg.norm(q[:, j])
+    return q
+
+
+def rank3_subspace():
+    """Retained eigenspace (kprime = 3) of a wide 4-mixture over 12 items."""
+    s = np.vstack([
+        np.concatenate([np.ones(6), -np.ones(6)]),
+        np.concatenate([np.ones(3), -np.ones(3), np.ones(3), -np.ones(3)]),
+        np.tile([1.0, -1.0], 6),
+        np.zeros(12),
+    ])
+    s -= s.mean(axis=0)
+    rows = (1.0 + 0.4 * s) / 12
+    rows /= rows.sum(axis=1, keepdims=True)
+    src = MixtureSource(np.full(4, 0.25), rows)
+    rep = width_report(src)
+    return estimate_A(src.second_moment_matrix(), src.mean(), zeta=rep.zeta)
+
+
 class TestEmpiricalM:
     def test_single_off_diagonal_snapshot(self):
         m = empirical_M(batch2([[0, 1]]), n=2)
@@ -82,25 +109,27 @@ class TestEstimateA:
 
 class TestRandomBasis:
     def test_gram_identity_and_span(self, rng):
-        src = two_block_source(n=12, c=0.7)
-        # rank-3 subspace via a 4-mixture
-        gen = np.random.default_rng(5)
-        s = np.vstack([
-            np.concatenate([np.ones(6), -np.ones(6)]),
-            np.concatenate([np.ones(3), -np.ones(3), np.ones(3), -np.ones(3)]),
-            np.tile([1.0, -1.0], 6),
-            np.zeros(12),
-        ])
-        s -= s.mean(axis=0)
-        rows = (1.0 + 0.4 * s) / 12
-        rows /= rows.sum(axis=1, keepdims=True)
-        src = MixtureSource(np.full(4, 0.25), rows)
-        rep = width_report(src)
-        sub = estimate_A(src.second_moment_matrix(), src.mean(), zeta=rep.zeta)
+        sub = rank3_subspace()
         assert sub.kprime == 3
         basis = random_basis(sub, RngStream(1))
         assert np.abs(basis.T @ basis - np.eye(3)).max() < 1e-10
         assert projector_distance(basis, sub.basis) < 1e-10
+
+    def test_orthonormal_columns_same_span(self):
+        sub = rank3_subspace()
+        for seed in range(10):
+            q = random_basis(sub, RngStream(seed))
+            assert np.abs(q.T @ q - np.eye(3)).max() < 1e-12
+            # same span: the retained eigenvectors reproduce under Q's projector
+            assert np.abs(q @ (q.T @ sub.basis) - sub.basis).max() < 1e-12
+
+    def test_matches_modified_gram_schmidt(self):
+        # QR with diag(R) > 0 is the factor Gram-Schmidt builds column by column
+        sub = rank3_subspace()
+        for seed in range(10):
+            mix = RngStream(seed).generator().standard_normal((3, 3))
+            want = modified_gram_schmidt(sub.basis @ mix)
+            assert np.abs(random_basis(sub, RngStream(seed)) - want).max() < 1e-12
 
     def test_one_dimensional_subspace_is_sign_of_eigenvector(self):
         src = MixtureSource(np.array([0.5, 0.5]), np.array([[1.0, 0.0], [0.0, 1.0]]))
@@ -128,10 +157,15 @@ def test_subspace_serialization_for_provenance():
 
 class TestProjectorDistance:
     def test_identical_sets(self, rng):
-        from mixlearn.linalg import orthonormalize
-
-        u = orthonormalize(rng.standard_normal((6, 2)))
+        u = np.linalg.qr(rng.standard_normal((6, 2)))[0]
         assert projector_distance(u, u) == pytest.approx(0.0, abs=1e-12)
+
+    def test_equals_operator_norm_of_difference(self, rng):
+        for cols_u, cols_v in ((1, 1), (2, 3), (3, 3)):
+            u = np.linalg.qr(rng.standard_normal((7, cols_u)))[0]
+            v = np.linalg.qr(rng.standard_normal((7, cols_v)))[0]
+            want = np.linalg.norm(u @ u.T - v @ v.T, 2)
+            assert projector_distance(u, v) == pytest.approx(want, abs=1e-12)
 
     def test_orthogonal_lines(self):
         e1 = np.array([[1.0], [0.0]])
