@@ -19,8 +19,8 @@ from .model import (
     transport_distance,
     width_report,
 )
-from .sampling import RngStream, SnapshotBatch, binarize, draw_snapshots, project_distribution, project_snapshot
-from .isotropize import ItemMap, build_refinement, default_sigma, estimate_r, map_snapshot, pull_back
+from .sampling import RngStream, SnapshotBatch, binarize, draw_snapshots, project_snapshot
+from .isotropize import ItemMap, build_refinement, default_sigma, estimate_r, pull_back
 from .spectral import SpectralSubspace, empirical_M, estimate_A, projector_distance, random_basis
 from .kspike import (
     KSpikeConfig,
@@ -39,6 +39,7 @@ from .kspike import (
 )
 from .learner import (
     DirectionResult,
+    DrawnInputs,
     LearnerConstants,
     LearnResult,
     Matching,

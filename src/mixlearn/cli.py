@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .isotropize import build_refinement, default_sigma, estimate_r, map_batch, pull_back
-from .learner import MatchingFailure, OracleInputs, SampledInputs, learn_mixture
+from .learner import DrawnInputs, MatchingFailure, OracleInputs, SampledInputs, learn_mixture
 from .lower_bounds import aperture_indistinguishability, hard_pair, sample_lower_bound, tv_snapshot_distance
 from .model import InputError, MixtureSource, mixture_transport, width_report
 from .sampling import RngStream, draw_snapshots
@@ -51,7 +51,6 @@ class ExperimentConfig:
     mode: str = "sampled"  # 'oracle' | 'sampled'
     eps: float = 0.1
     sigma: float = 0.0  # 0 means: derive from eps * zeta^2 / (32 k wmin)
-    threads: int = 1
     isotropize: bool = False
     poisson: bool = False
 
@@ -62,8 +61,6 @@ class ExperimentConfig:
             raise InputError("sample counts must be nonnegative")
         if self.mode not in ("oracle", "sampled"):
             raise InputError(f"unknown mode {self.mode!r}")
-        if self.threads < 1:
-            raise InputError("threads must be at least 1")
         if not 0.0 < self.zeta <= 1.0:
             raise InputError("zeta must lie in (0, 1]")
         if self.omega < 1.0 or self.delta <= 0.0:
@@ -188,36 +185,39 @@ def evaluate_errors(truth: MixtureSource, learned: MixtureSource):
 
 
 def run_learn(cfg: ExperimentConfig, model: MixtureSource):
-    """One pipeline run per the config; returns (result dict, learned source)."""
+    """One pipeline run per the config; returns (result dict, learned source).
+
+    Oracle mode learns from the model's exact moments.  Sampled mode learns
+    from the statistics of ``samples1``/``samples2``/``samples_hi`` snapshots
+    of the model (poissonized counts under ``poisson``), drawn straight from
+    their multinomial law without building rows.  With ``isotropize`` the
+    snapshot rows are drawn, mapped through the rare-item reduction and read
+    back, and the learned source is pulled back to the model's items.  The
+    manifest's ``statistics`` key says which of the three ("exact", "drawn",
+    "rows") the run learned from.
+    """
     rng = RngStream(cfg.seed)
     start = time.perf_counter()
     wmin = cfg.wmin if cfg.wmin > 0 else model.w_min
     xi = cfg.varsigma ** (8 * cfg.k**2) if cfg.varsigma > 0 else None
     counts = [cfg.samples1, cfg.samples2, cfg.samples_hi]  # sampled mode reports the counts drawn
+    item_map = None
+    survival = None
+    zeta = cfg.zeta
 
     if cfg.mode == "oracle":
         inputs = OracleInputs(model)
-        result = learn_mixture(inputs, cfg.k, cfg.zeta, cfg.omega, cfg.delta, wmin,
-                               rng.child(5), xi=xi, threads=cfg.threads)
-        learned = result.source
-        item_map = None
-        survival = None
     else:
         gen = rng.child(3).generator()
         if cfg.poisson:
             counts = [int(gen.poisson(c)) for c in counts]
-        batch1 = draw_snapshots(model, 1, counts[0], rng.child(11))
-        batch2 = draw_snapshots(model, 2, counts[1], rng.child(12))
-        batch_hi = draw_snapshots(model, 2 * cfg.k - 1, counts[2], rng.child(13))
-        item_map = None
-        n_eff = model.n
-        zeta_eff = cfg.zeta
-        survival = None
         if cfg.isotropize:
+            batch1 = draw_snapshots(model, 1, counts[0], rng.child(11))
+            batch2 = draw_snapshots(model, 2, counts[1], rng.child(12))
+            batch_hi = draw_snapshots(model, 2 * cfg.k - 1, counts[2], rng.child(13))
             rt = estimate_r(batch1, model.n)
             sigma = cfg.sigma if cfg.sigma > 0 else default_sigma(cfg.eps, cfg.zeta, cfg.k, wmin)
             item_map = build_refinement(rt, sigma)
-            raw_counts = (len(batch1), len(batch2), len(batch_hi))
             batch1 = map_batch(item_map, batch1, rng.child(21))
             batch2 = map_batch(item_map, batch2, rng.child(22))
             batch_hi = map_batch(item_map, batch_hi, rng.child(23))
@@ -225,16 +225,17 @@ def run_learn(cfg: ExperimentConfig, model: MixtureSource):
                 "sigma": sigma,
                 "nprime": item_map.nprime,
                 "survived": [len(batch1), len(batch2), len(batch_hi)],
-                "drawn": list(raw_counts),
+                "drawn": list(counts),
             }
-            n_eff = item_map.nprime
-            zeta_eff = cfg.zeta / 2.0
-        inputs = SampledInputs(batch1=batch1, batch2=batch2, batch_hi=batch_hi, n=n_eff)
-        result = learn_mixture(inputs, cfg.k, zeta_eff, cfg.omega, cfg.delta, wmin,
-                               rng.child(5), xi=xi, threads=cfg.threads)
-        learned = result.source
-        if item_map is not None:
-            learned = pull_back(item_map, learned)
+            inputs = SampledInputs(batch1=batch1, batch2=batch2, batch_hi=batch_hi,
+                                   n=item_map.nprime)
+            zeta = cfg.zeta / 2.0
+        else:
+            inputs = DrawnInputs(model, *counts, rng.child(11))
+    result = learn_mixture(inputs, cfg.k, zeta, cfg.omega, cfg.delta, wmin, rng.child(5), xi=xi)
+    learned = result.source
+    if item_map is not None:
+        learned = pull_back(item_map, learned)
 
     wall_ms = int(1000 * (time.perf_counter() - start))
     tran, l1, werr = evaluate_errors(model, learned)
@@ -372,7 +373,6 @@ def _add_common(p):
     p.add_argument("--eps", type=float)
     p.add_argument("--sigma", type=float)
     p.add_argument("--mode", choices=["oracle", "sampled"])
-    p.add_argument("--threads", type=int)
     p.add_argument("--isotropize", action="store_const", const=True, default=None)
     p.add_argument("--poisson", action="store_const", const=True, default=None,
                    help="poissonize the sample counts")

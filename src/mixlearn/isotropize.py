@@ -22,7 +22,6 @@ __all__ = [
     "ItemMap",
     "estimate_r",
     "build_refinement",
-    "map_snapshot",
     "map_batch",
     "pull_back",
     "refine_source",
@@ -103,18 +102,11 @@ def build_refinement(rtilde, sigma) -> ItemMap:
     return ItemMap(sigma=float(sigma), splits=splits, offsets=offsets)
 
 
-def map_snapshot(item_map: ItemMap, row, rng: RngStream):
-    """Map one snapshot into the refined domain; None if it hits an eliminated item."""
-    row = np.asarray(row, dtype=np.int64)
-    splits = item_map.splits[row]
-    if np.any(splits == 0):
-        return None
-    gen = rng.generator()
-    return item_map.offsets[row] + gen.integers(0, splits)
-
-
 def map_batch(item_map: ItemMap, batch: SnapshotBatch, rng: RngStream) -> SnapshotBatch:
-    """Vectorized map_snapshot over a batch, dropping non-surviving rows."""
+    """Map each row into the refined domain, dropping rows that hit an eliminated item.
+
+    Every surviving item is relabeled to a uniformly random one of its copies.
+    """
     rows = batch.rows
     if rows.size == 0:
         return SnapshotBatch(aperture=batch.aperture, rows=rows, n=item_map.nprime)

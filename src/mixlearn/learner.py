@@ -6,15 +6,30 @@ a random orthonormal basis of that space (and on rotated test directions),
 reconcile the per-direction spikes into k points, and project each point onto
 the simplex in l1.
 
-Two statistics regimes share the code path: ``OracleInputs`` feeds exact
-moments everywhere (for calibration experiments against a known source), and
-``SampledInputs`` feeds snapshot batches.
+Three statistics regimes share the code path:
+
+- ``OracleInputs`` feeds exact moments everywhere (for calibration
+  experiments against a known source);
+- ``DrawnInputs`` feeds what the learner would read off snapshots drawn from
+  a known source, drawn straight from its exact sampling law: item counts,
+  pair counts and, per direction, the histogram of how many of a
+  (2k-1)-snapshot's projected bits are set, each multinomial over cell
+  probabilities the oracle regime computes.  No snapshot row is built, so
+  the cost is O(n^2) whatever the sample counts;
+- ``SampledInputs`` feeds snapshot batches (data, or rows mapped through the
+  isotropizing reduction).
+
+``DrawnInputs`` and ``SampledInputs`` give statistics with the same law for
+one direction.  They differ across the matching retries: rows of a test slot
+are re-projected on every retry, so the retries' histograms are correlated,
+while drawn histograms are fresh on every call.  This only matters when the
+learner keeps two or more directions (kprime >= 2, so k >= 3 unless noise
+lifts a spurious eigenvalue over the threshold).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +46,6 @@ from .model import InputError, KSpikeDistribution, MixtureSource
 from .sampling import RngStream, SnapshotBatch, binarize
 from .spectral import empirical_M, estimate_A, random_basis
 from .isotropize import estimate_r
-from .lp import solve_lp
 
 __all__ = [
     "LearnerConstants",
@@ -39,13 +53,13 @@ __all__ = [
     "Matching",
     "MatchingFailure",
     "OracleInputs",
+    "DrawnInputs",
     "SampledInputs",
     "LearnResult",
     "solve_direction_program",
     "learn_direction",
     "match_spikes",
     "simplex_project_l1",
-    "simplex_project_l1_lp",
     "learn_mixture",
 ]
 
@@ -233,6 +247,23 @@ class OracleInputs:
 
 
 @dataclass(frozen=True)
+class DrawnInputs:
+    """Drawn-statistics regime: the statistics of snapshots from ``source``.
+
+    ``samples1``, ``samples2`` and ``samples_hi`` count the 1-, 2- and
+    (2k-1)-snapshots the statistics stand for; ``rng`` draws the item and
+    pair counts (the learner's own streams draw the per-direction
+    histograms).
+    """
+
+    source: MixtureSource
+    samples1: int
+    samples2: int
+    samples_hi: int
+    rng: RngStream
+
+
+@dataclass(frozen=True)
 class SampledInputs:
     """Snapshot regime: 1-, 2-, and (2k-1)-aperture batches."""
 
@@ -242,7 +273,19 @@ class SampledInputs:
     n: int
 
 
+def _multinomial_counts(gen, total, probs):
+    """Cell counts of ``total`` iid draws over the cells of ``probs`` (flattened).
+
+    Exact cell probabilities can come out a rounding error below 0 or off a
+    unit sum; they are clipped at 0 and renormalized first.
+    """
+    p = np.clip(np.ravel(probs), 0.0, None)
+    return gen.multinomial(total, p / p.sum())
+
+
 class _OracleStats:
+    statistics = "exact"
+
     def __init__(self, source):
         self.source = source
 
@@ -265,7 +308,57 @@ class _OracleStats:
         return MomentVector(kind="nbm", values=nu, k=k), None
 
 
+class _DrawnStats(_OracleStats):
+    """Exact moments plus the multinomial noise of the snapshots they stand for.
+
+    Snapshots are iid draws from the mixture, so the item counts are
+    Multinomial(N1, r), the ordered pair counts Multinomial(N2, M) over n^2
+    cells, and the bit-sum histogram of a slot of N_slot (2k-1)-snapshots
+    projected on x is Multinomial(N_slot, C(2k-1, i) nu_i(x)).  Each
+    ``direction_nbm`` call draws a fresh histogram from the stream it is
+    given.
+    """
+
+    statistics = "drawn"
+
+    def __init__(self, inputs: DrawnInputs):
+        super().__init__(inputs.source)
+        self.inputs = inputs
+
+    def mean_distribution(self):
+        total = self.inputs.samples1
+        if total < 1:
+            raise InputError("need at least one 1-snapshot")
+        gen = self.inputs.rng.child(1).generator()
+        return _multinomial_counts(gen, total, super().mean_distribution()) / total
+
+    def two_snapshot_matrix(self):
+        total = self.inputs.samples2
+        if total < 1:
+            raise InputError("need at least one 2-snapshot")
+        gen = self.inputs.rng.child(2).generator()
+        counts = _multinomial_counts(gen, total, super().two_snapshot_matrix())
+        counts = counts.reshape(self.n, self.n) / total
+        return 0.5 * (counts + counts.T)  # as empirical_M symmetrizes
+
+    def allocate(self, n_slots):
+        # equal sample budget per Learn call, split as np.array_split splits rows
+        q, extra = divmod(self.inputs.samples_hi, n_slots)
+        return [q + 1 if j < extra else q for j in range(n_slots)]
+
+    def direction_nbm(self, slot, point_values, k, rng):
+        if slot < 1:
+            raise InputError("empty (2k-1)-snapshot chunk for a direction")
+        nu, _ = super().direction_nbm(None, point_values, k, rng)
+        m = 2 * k - 1
+        binom = np.array([math.comb(m, i) for i in range(m + 1)], dtype=float)
+        counts = _multinomial_counts(rng.generator(), slot, binom * nu.values)
+        return MomentVector(kind="nbm", values=counts / (slot * binom), k=k), slot
+
+
 class _SampledStats:
+    statistics = "rows"
+
     def __init__(self, inputs: SampledInputs):
         self.inputs = inputs
 
@@ -399,22 +492,6 @@ def simplex_project_l1(phat):
     raise AssertionError("water level not found")  # pragma: no cover
 
 
-def simplex_project_l1_lp(phat):
-    """LP route for the same projection (oracle/reference path)."""
-    phat = np.asarray(phat, dtype=float)
-    n = phat.size
-    # variables: x(n), e+(n), e-(n); x - e+ + e- = phat; sum x = 1
-    cost = np.concatenate([np.zeros(n), np.ones(2 * n)])
-    a_eq = np.zeros((n + 1, 3 * n))
-    a_eq[:n, :n] = np.eye(n)
-    a_eq[:n, n:2 * n] = -np.eye(n)
-    a_eq[:n, 2 * n:] = np.eye(n)
-    a_eq[n, :n] = 1.0
-    b_eq = np.concatenate([phat, [1.0]])
-    sol = solve_lp(cost, a_eq=a_eq, b_eq=b_eq)
-    return sol.x[:n]
-
-
 @dataclass(frozen=True)
 class LearnResult:
     source: MixtureSource
@@ -425,16 +502,17 @@ class LearnResult:
     manifest: dict = field(default_factory=dict)
 
 
-def _run_directions(tasks, threads):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda f: f(), tasks))
-    return [f() for f in tasks]
+def _stats_for(inputs):
+    if isinstance(inputs, OracleInputs):
+        return _OracleStats(inputs.source)
+    if isinstance(inputs, DrawnInputs):
+        return _DrawnStats(inputs)
+    return _SampledStats(inputs)
 
 
 def learn_mixture(inputs, k, zeta, omega, delta, w_min, rng: RngStream,
-                  xi=None, tau_1d=None, match_tol="auto", retries=8, threads=None) -> LearnResult:
-    """Run the full pipeline on exact or sampled statistics.
+                  xi=None, tau_1d=None, match_tol="auto", retries=8) -> LearnResult:
+    """Run the full pipeline on exact, drawn or sampled statistics.
 
     Parameters mirror the algorithm inputs: the width parameter ``zeta``,
     confidence scale ``omega``, accuracy scale ``delta``, and the minimum
@@ -447,7 +525,7 @@ def learn_mixture(inputs, k, zeta, omega, delta, w_min, rng: RngStream,
     mean distribution: the result carries k copies of it with uniform
     weights and the ``degenerate`` flag set.
     """
-    stats = _OracleStats(inputs.source) if isinstance(inputs, OracleInputs) else _SampledStats(inputs)
+    stats = _stats_for(inputs)
     n = stats.n
     consts = LearnerConstants(n=n, k=k, zeta=zeta, omega=omega, delta=delta, w_min=w_min)
 
@@ -462,6 +540,7 @@ def learn_mixture(inputs, k, zeta, omega, delta, w_min, rng: RngStream,
         "seed": rng.seed,
         "stream": rng.stream,
         "mode": "oracle" if isinstance(inputs, OracleInputs) else "sampled",
+        "statistics": stats.statistics,
     }
 
     if kprime == 0:
@@ -475,12 +554,11 @@ def learn_mixture(inputs, k, zeta, omega, delta, w_min, rng: RngStream,
     n_slots = 2 * kprime - 1
     slots = stats.allocate(n_slots)
 
-    tasks = [
-        (lambda j=j: learn_direction(basis[:, j], consts, stats, slots[j],
-                                     rng.child(10 + j), xi=xi, tau_1d=tau_1d))
+    base_results = [
+        learn_direction(basis[:, j], consts, stats, slots[j], rng.child(10 + j),
+                        xi=xi, tau_1d=tau_1d)
         for j in range(kprime)
     ]
-    base_results = _run_directions(tasks, threads)
     alpha_dirs = np.array([r.gammas for r in base_results])
     weight_dirs = np.array([r.weights for r in base_results])
 
@@ -494,14 +572,13 @@ def learn_mixture(inputs, k, zeta, omega, delta, w_min, rng: RngStream,
         for attempt in range(retries):
             attempts = attempt + 1
             theta = float(rng.child(1000 + attempt).generator().uniform(0.0, 2.0 * math.pi))
-            tasks = [
-                (lambda j=j: learn_direction(
+            test_results = [
+                learn_direction(
                     math.cos(theta) * basis[:, j] + math.sin(theta) * basis[:, kprime - 1],
                     consts, stats, slots[kprime + j],
-                    rng.child(2000 + attempt * 64 + j), xi=xi, tau_1d=tau_1d))
+                    rng.child(2000 + attempt * 64 + j), xi=xi, tau_1d=tau_1d)
                 for j in range(kprime - 1)
             ]
-            test_results = _run_directions(tasks, threads)
             zhat_dirs = np.array([r.gammas for r in test_results])
             try:
                 matching = match_spikes(alpha_dirs, zhat_dirs, theta, consts, tol=match_tol)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kspike import binom_profile_matrix, pascal_pair, vandermonde
+from .kspike import binom_profile_matrix, vandermonde
 from .lp import LpInfeasible, LpUnbounded, solve_lp
 from .model import InputError, KSpikeDistribution, spike_transport
 
@@ -229,17 +229,3 @@ def sample_lower_bound(pair: HardPair, psi: float) -> float:
     if not 0.0 < psi < 0.25:
         raise InputError("psi must lie in (0, 0.25)")
     return pair.rho ** (2 * pair.k - 1) / (8.0 * 3.0**pair.b) * math.log(1.0 / (4.0 * psi))
-
-
-def pascal_inverse_identity_exact(b: int) -> bool:
-    """Exact integer check that Pas_(b+1) times its claimed inverse is I."""
-    pair = pascal_pair(b + 1)
-    pas = [[int(v) for v in row] for row in pair.pas]
-    inv = [[int(v) for v in row] for row in pair.inv]
-    size = b + 1
-    for i in range(size):
-        for j in range(size):
-            acc = sum(pas[i][l] * inv[l][j] for l in range(size))
-            if acc != (1 if i == j else 0):
-                return False
-    return True

@@ -2,9 +2,7 @@
 
 Every LP in this package is tiny (tens of variables), so the implementation
 favours determinism over speed: Bland's anti-cycling pivot rule, dense
-tableau arithmetic, explicit tolerances.  The same canonical form also backs
-``brute_force_lp``, an exhaustive basis enumerator used as an independent
-oracle in the tests.
+tableau arithmetic, explicit tolerances.
 
 Problems are stated as
 
@@ -17,7 +15,6 @@ Problems are stated as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -27,7 +24,6 @@ __all__ = [
     "LpUnbounded",
     "LpSolution",
     "solve_lp",
-    "brute_force_lp",
 ]
 
 
@@ -201,62 +197,3 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, tol=1e-10, max_iter=
     x = x / col_scale  # undo the column substitution
     x_orig = x[:n]
     return LpSolution(x=x_orig, value=float(np.dot(c_ext_orig[:n], x_orig)), iterations=iters)
-
-
-def _independent_rows(a, b, tol=1e-11):
-    """Row-reduce [a | b]; returns indices of independent rows.
-
-    Raises LpInfeasible when a dependent row is inconsistent.
-    """
-    m, n = a.shape
-    work = np.hstack([a, b[:, None]]).astype(float)
-    scale = 1.0 + np.abs(work).max(initial=0.0)
-    kept = []
-    for i in range(m):
-        row = work[i].copy()
-        for j in kept:
-            piv_col = np.argmax(np.abs(work[j, :n]))
-            factor = row[piv_col] / work[j, piv_col]
-            row -= factor * work[j]
-        if np.abs(row[:n]).max(initial=0.0) > tol * scale:
-            work[i] = row
-            kept.append(i)
-        elif abs(row[n]) > 1e-7 * scale:
-            raise LpInfeasible("inconsistent equality system")
-    return kept
-
-
-def brute_force_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, feas_tol=1e-8):
-    """Exhaustive vertex enumeration over the canonical equality form.
-
-    Independent of the simplex path above (no pivoting); only usable for
-    very small problems.  Assumes the optimum is attained at a vertex.
-    """
-    a, b, c_ext, n, _ = _canonical(c, a_ub, b_ub, a_eq, b_eq)
-    rows = _independent_rows(a, b)
-    a, b = a[rows], b[rows]
-    m, ncols = a.shape
-    best_val = None
-    best_x = None
-    scale = 1.0 + np.abs(b).max(initial=0.0)
-    for cols in combinations(range(ncols), min(m, ncols)):
-        sub = a[:, cols]
-        try:
-            sol = np.linalg.solve(sub, b)
-        except np.linalg.LinAlgError:
-            continue
-        if not np.all(np.isfinite(sol)):
-            continue
-        if np.abs(sub @ sol - b).max(initial=0.0) > feas_tol * scale:
-            continue
-        if sol.min(initial=0.0) < -feas_tol:
-            continue
-        x = np.zeros(ncols)
-        x[list(cols)] = np.clip(sol, 0.0, None)
-        val = float(np.dot(c_ext, x))
-        if best_val is None or val < best_val:
-            best_val = val
-            best_x = x[:n]
-    if best_val is None:
-        raise LpInfeasible("no feasible basic solution found")
-    return LpSolution(x=best_x, value=best_val, iterations=0)

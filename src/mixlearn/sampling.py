@@ -20,8 +20,6 @@ __all__ = [
     "AliasTable",
     "SnapshotBatch",
     "draw_snapshots",
-    "ProjectedDistribution",
-    "project_distribution",
     "project_snapshot",
     "binarize",
 ]
@@ -156,32 +154,6 @@ def draw_snapshots(src: MixtureSource, m: int, count: int, rng: RngStream) -> Sn
         table = AliasTable(src.constituents[t])
         rows[sel] = table.sample(gen, (sel.size, m))
     return SnapshotBatch(aperture=m, rows=rows, n=src.n)
-
-
-@dataclass(frozen=True)
-class ProjectedDistribution:
-    """Discrete distribution on the reals: distinct values with their masses."""
-
-    values: np.ndarray
-    masses: np.ndarray
-
-    def expectation(self):
-        return float(np.dot(self.values, self.masses))
-
-
-def project_distribution(p, x) -> ProjectedDistribution:
-    """Project a distribution on [n] along the item values x.
-
-    Mass sum_{i: x_i = v} p_i lands on each distinct value v, so the
-    expectation of the projection equals x . p.
-    """
-    p = np.asarray(p, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if p.shape != x.shape:
-        raise InputError("p and x must have equal length")
-    values, inverse = np.unique(x, return_inverse=True)
-    masses = np.bincount(inverse, weights=p, minlength=values.size)
-    return ProjectedDistribution(values=values, masses=masses)
 
 
 def project_snapshot(row, x):

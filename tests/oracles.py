@@ -1,0 +1,143 @@
+"""Reference implementations the tests check the library against.
+
+Each oracle takes a route independent of the library code it checks
+(enumeration, an LP, exact integers, one row at a time) and is only usable
+at the small sizes the tests give it.
+"""
+
+from dataclasses import dataclass
+from itertools import combinations
+
+import numpy as np
+
+from mixlearn.kspike import pascal_pair
+from mixlearn.lp import LpInfeasible, LpSolution, _canonical, solve_lp
+from mixlearn.model import InputError
+
+
+def _independent_rows(a, b, tol=1e-11):
+    """Row-reduce [a | b]; returns indices of independent rows.
+
+    Raises LpInfeasible when a dependent row is inconsistent.
+    """
+    m, n = a.shape
+    work = np.hstack([a, b[:, None]]).astype(float)
+    scale = 1.0 + np.abs(work).max(initial=0.0)
+    kept = []
+    for i in range(m):
+        row = work[i].copy()
+        for j in kept:
+            piv_col = np.argmax(np.abs(work[j, :n]))
+            factor = row[piv_col] / work[j, piv_col]
+            row -= factor * work[j]
+        if np.abs(row[:n]).max(initial=0.0) > tol * scale:
+            work[i] = row
+            kept.append(i)
+        elif abs(row[n]) > 1e-7 * scale:
+            raise LpInfeasible("inconsistent equality system")
+    return kept
+
+
+def brute_force_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, feas_tol=1e-8):
+    """Exhaustive vertex enumeration over solve_lp's canonical equality form.
+
+    Independent of the simplex path (no pivoting); only usable for very
+    small problems.  Assumes the optimum is attained at a vertex.
+    """
+    a, b, c_ext, n, _ = _canonical(c, a_ub, b_ub, a_eq, b_eq)
+    rows = _independent_rows(a, b)
+    a, b = a[rows], b[rows]
+    m, ncols = a.shape
+    best_val = None
+    best_x = None
+    scale = 1.0 + np.abs(b).max(initial=0.0)
+    for cols in combinations(range(ncols), min(m, ncols)):
+        sub = a[:, cols]
+        try:
+            sol = np.linalg.solve(sub, b)
+        except np.linalg.LinAlgError:
+            continue
+        if not np.all(np.isfinite(sol)):
+            continue
+        if np.abs(sub @ sol - b).max(initial=0.0) > feas_tol * scale:
+            continue
+        if sol.min(initial=0.0) < -feas_tol:
+            continue
+        x = np.zeros(ncols)
+        x[list(cols)] = np.clip(sol, 0.0, None)
+        val = float(np.dot(c_ext, x))
+        if best_val is None or val < best_val:
+            best_val = val
+            best_x = x[:n]
+    if best_val is None:
+        raise LpInfeasible("no feasible basic solution found")
+    return LpSolution(x=best_x, value=best_val, iterations=0)
+
+
+def simplex_project_l1_lp(phat):
+    """LP route for simplex_project_l1: an l1-closest point of the simplex."""
+    phat = np.asarray(phat, dtype=float)
+    n = phat.size
+    # variables: x(n), e+(n), e-(n); x - e+ + e- = phat; sum x = 1
+    cost = np.concatenate([np.zeros(n), np.ones(2 * n)])
+    a_eq = np.zeros((n + 1, 3 * n))
+    a_eq[:n, :n] = np.eye(n)
+    a_eq[:n, n:2 * n] = -np.eye(n)
+    a_eq[:n, 2 * n:] = np.eye(n)
+    a_eq[n, :n] = 1.0
+    b_eq = np.concatenate([phat, [1.0]])
+    sol = solve_lp(cost, a_eq=a_eq, b_eq=b_eq)
+    return sol.x[:n]
+
+
+def pascal_inverse_identity_exact(b: int) -> bool:
+    """Exact integer check that Pas_(b+1) times its claimed inverse is I."""
+    pair = pascal_pair(b + 1)
+    pas = [[int(v) for v in row] for row in pair.pas]
+    inv = [[int(v) for v in row] for row in pair.inv]
+    size = b + 1
+    for i in range(size):
+        for j in range(size):
+            acc = sum(pas[i][l] * inv[l][j] for l in range(size))
+            if acc != (1 if i == j else 0):
+                return False
+    return True
+
+
+def map_snapshot(item_map, row, rng):
+    """Map one snapshot into the refined domain; None if it hits an eliminated item.
+
+    The one-row form of isotropize.map_batch.
+    """
+    row = np.asarray(row, dtype=np.int64)
+    splits = item_map.splits[row]
+    if np.any(splits == 0):
+        return None
+    gen = rng.generator()
+    return item_map.offsets[row] + gen.integers(0, splits)
+
+
+@dataclass(frozen=True)
+class ProjectedDistribution:
+    """Discrete distribution on the reals: distinct values with their masses."""
+
+    values: np.ndarray
+    masses: np.ndarray
+
+    def expectation(self):
+        return float(np.dot(self.values, self.masses))
+
+
+def project_distribution(p, x) -> ProjectedDistribution:
+    """Project a distribution on [n] along the item values x.
+
+    Mass sum_{i: x_i = v} p_i lands on each distinct value v, so the
+    expectation of the projection equals x . p.
+    """
+    p = np.asarray(p, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if p.shape != x.shape:
+        raise InputError("p and x must have equal length")
+    values, inverse = np.unique(x, return_inverse=True)
+    masses = np.bincount(inverse, weights=p, minlength=values.size)
+    return ProjectedDistribution(values=values, masses=masses)

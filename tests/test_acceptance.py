@@ -30,10 +30,8 @@ from mixlearn.learner import (
     SampledInputs,
     learn_mixture,
     simplex_project_l1,
-    simplex_project_l1_lp,
 )
 from mixlearn.lower_bounds import aperture_indistinguishability, hard_pair, tv_snapshot_distance
-from mixlearn.lp import brute_force_lp
 from mixlearn.model import (
     KSpikeDistribution,
     MixtureSource,
@@ -43,6 +41,7 @@ from mixlearn.model import (
 )
 from mixlearn.sampling import RngStream, binarize, draw_snapshots, project_snapshot
 
+from oracles import brute_force_lp, simplex_project_l1_lp
 from test_kspike import active_set_weights_oracle
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-import mixlearn.cli as cli
+import mixlearn.learner as learner
 from mixlearn.cli import (
     CSV_HEADER,
     EXIT_CONFIG,
@@ -15,7 +15,6 @@ from mixlearn.cli import (
     run_learn,
 )
 from mixlearn.model import MixtureSource, width_report
-from mixlearn.sampling import draw_snapshots
 
 
 class TestGenerate:
@@ -126,6 +125,27 @@ class TestLearnCommand:
         rc = main(["learn", "--model", str(model), "--config", str(cfg_path)])
         assert rc == EXIT_CONFIG
 
+    def test_threads_key_exits_3(self, tmp_path):
+        # the thread pool is gone; its key is unknown like any other
+        model = self._model(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"threads": 2}))
+        rc = main(["learn", "--model", str(model), "--config", str(cfg_path)])
+        assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("overrides, statistics", [
+        ({"mode": "oracle"}, "exact"),
+        ({}, "drawn"),
+        ({"poisson": True}, "drawn"),
+        ({"isotropize": True, "sigma": 0.25}, "rows"),
+    ])
+    def test_manifest_records_statistics(self, overrides, statistics):
+        model = generate_source(ExperimentConfig(n=8, k=2, seed=11, zeta=0.5))
+        cfg = ExperimentConfig(n=8, k=2, seed=2, samples1=50000, samples2=50000,
+                               samples_hi=50000, zeta=0.5, delta=1e-8, **overrides)
+        report, _ = run_learn(cfg, model)
+        assert report["manifest"]["statistics"] == statistics
+
     def test_poisson_mode_runs(self, tmp_path, capsys):
         model = self._model(tmp_path)
         rc = main(["learn", "--model", str(model), "--mode", "sampled", "--seed", "4",
@@ -137,14 +157,17 @@ class TestLearnCommand:
         assert float(row["tran_dist"]) < 0.5
 
     def test_poisson_row_reports_drawn_counts(self, monkeypatch):
+        # the totals of the item counts, the pair counts and the one
+        # direction's bit-sum histogram (k = 2) the statistics were drawn as
         drawn = []
+        multinomial_counts = learner._multinomial_counts
 
-        def recording_draw(*args):
-            batch = draw_snapshots(*args)
-            drawn.append(len(batch))
-            return batch
+        def recording_counts(*args):
+            counts = multinomial_counts(*args)
+            drawn.append(int(counts.sum()))
+            return counts
 
-        monkeypatch.setattr(cli, "draw_snapshots", recording_draw)
+        monkeypatch.setattr(learner, "_multinomial_counts", recording_counts)
         model = generate_source(ExperimentConfig(n=12, k=2, seed=5, zeta=0.6))
         cfg = ExperimentConfig(n=12, k=2, seed=4, samples1=20000, samples2=20000,
                                samples_hi=20000, zeta=0.6, delta=1e-8, poisson=True)

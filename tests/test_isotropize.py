@@ -9,7 +9,6 @@ from mixlearn.isotropize import (
     default_sigma,
     estimate_r,
     map_batch,
-    map_snapshot,
     pull_back,
     refine_source,
 )
@@ -17,6 +16,7 @@ from mixlearn.model import InputError, MixtureSource, mixture_transport
 from mixlearn.sampling import RngStream, SnapshotBatch, draw_snapshots
 
 from conftest import two_block_source
+from oracles import map_snapshot
 
 
 def batch1(items):

@@ -155,7 +155,7 @@ class TestSolveLambda:
             solve_lambda(np.array([0.0, 1.0]), 1e-6, 1)
 
     def test_matches_enumeration_oracle(self, rng):
-        from mixlearn.lp import brute_force_lp
+        from oracles import brute_force_lp
 
         for _ in range(100):
             k = int(rng.integers(1, 4))

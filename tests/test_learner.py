@@ -12,7 +12,6 @@ from mixlearn.learner import (
     learn_mixture,
     match_spikes,
     simplex_project_l1,
-    simplex_project_l1_lp,
     solve_direction_program,
 )
 from mixlearn.model import MixtureSource, mixture_transport, width_report
@@ -20,6 +19,7 @@ from mixlearn.sampling import RngStream, draw_snapshots
 from mixlearn.spectral import estimate_A, random_basis
 
 from conftest import two_block_source
+from oracles import simplex_project_l1_lp
 
 
 class TestDirectionProgram:
@@ -225,20 +225,6 @@ class TestLearnMixture:
         a, b = run(), run()
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.constituents, b.constituents)
-
-    def test_threads_do_not_change_results(self):
-        from mixlearn.cli import ExperimentConfig, generate_source
-
-        src = generate_source(ExperimentConfig(n=30, k=3, seed=5, zeta=0.2))
-        rep = width_report(src)
-
-        def run(threads):
-            return learn_mixture(OracleInputs(src), k=3, zeta=rep.zeta, omega=4.0,
-                                 delta=1e-8, w_min=src.w_min, rng=RngStream(12),
-                                 threads=threads)
-
-        a, b = run(None), run(3)
-        assert np.array_equal(a.source.constituents, b.source.constituents)
 
     def test_oracle_k1_direction_learns_the_mean_projection(self):
         # single-constituent source: the 1-D learner recovers v . p exactly

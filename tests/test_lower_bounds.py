@@ -7,11 +7,12 @@ from mixlearn.kspike import moments_of
 from mixlearn.lower_bounds import (
     aperture_indistinguishability,
     hard_pair,
-    pascal_inverse_identity_exact,
     sample_lower_bound,
     tv_snapshot_distance,
 )
 from mixlearn.model import InputError, KSpikeDistribution, spike_transport
+
+from oracles import pascal_inverse_identity_exact
 
 
 class TestHardPair:

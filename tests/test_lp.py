@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from mixlearn.lp import LpInfeasible, LpUnbounded, brute_force_lp, solve_lp
+from mixlearn.lp import LpInfeasible, LpUnbounded, solve_lp
+
+from oracles import brute_force_lp
 
 
 def test_simple_bounded_lp():

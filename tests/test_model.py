@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from mixlearn.kspike import moments_of
-from mixlearn.lp import brute_force_lp
 from mixlearn.model import (
     InputError,
     KSpikeDistribution,
@@ -17,6 +16,7 @@ from mixlearn.model import (
 )
 
 from conftest import random_spikes, two_block_source
+from oracles import brute_force_lp
 
 
 def cdf_transport_1d(d1, d2):

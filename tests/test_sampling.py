@@ -11,11 +11,11 @@ from mixlearn.sampling import (
     SnapshotBatch,
     binarize,
     draw_snapshots,
-    project_distribution,
     project_snapshot,
 )
 
 from conftest import two_block_source
+from oracles import project_distribution
 
 
 class TestRngStream:
