@@ -2,7 +2,8 @@
 """End-to-end sample-size sweep: generate a wide isotropic source, learn it
 from snapshots over a grid of sample sizes and seeds, and write one CSV row
 per run that succeeds (the same schema as `mixlearn learn`).  A run that ends
-in a matching failure writes no row; the per-size summary on standard error
+in a learning failure (spikes that do not match, or statistics too noisy to
+fit) writes no row; the per-size summary on standard error
 counts them and takes the median transport over the runs that succeeded.
 
 Usage:
@@ -16,8 +17,7 @@ import sys
 import numpy as np
 
 from mixlearn.cli import CSV_HEADER, ExperimentConfig, _csv_row, generate_source, run_learn
-from mixlearn.learner import MatchingFailure
-from mixlearn.model import width_report
+from mixlearn.model import LearningFailure, width_report
 
 
 def main():
@@ -51,7 +51,7 @@ def main():
                                    samples1=size, samples2=size, samples_hi=size)
             try:
                 report, _ = run_learn(cfg, source)
-            except MatchingFailure:
+            except LearningFailure:
                 failed += 1
                 continue
             lines.append(_csv_row(report["row"]))

@@ -10,6 +10,7 @@ ship alongside as executable demonstrations.
 
 from .model import (
     InputError,
+    LearningFailure,
     KSpikeDistribution,
     MixtureSource,
     TransportPlan,

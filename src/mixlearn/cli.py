@@ -6,7 +6,8 @@ Subcommands:
   lowerbound  build a hard pair and report its moment/TV numbers as CSV
 
 Flags may be overridden by a JSON config file (--config wins over flags).
-Exit codes: 0 ok, 1 matching failure, 2 I/O error, 3 invalid config.
+Exit codes: 0 ok, 1 learning failure (spikes that do not match, or statistics
+too noisy to fit), 2 I/O error, 3 invalid config.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ import numpy as np
 from .isotropize import build_refinement, default_sigma, estimate_r, map_batch, pull_back
 from .learner import DrawnInputs, MatchingFailure, OracleInputs, SampledInputs, learn_mixture
 from .lower_bounds import aperture_indistinguishability, hard_pair, sample_lower_bound, tv_snapshot_distance
-from .model import InputError, MixtureSource, mixture_transport, width_report
+from .model import InputError, LearningFailure, MixtureSource, mixture_transport, width_report
 from .sampling import RngStream, draw_snapshots
 
 EXIT_OK = 0
-EXIT_MATCHING = 1
+EXIT_LEARNING = 1
 EXIT_IO = 2
 EXIT_CONFIG = 3
 
@@ -300,7 +301,10 @@ def cmd_learn(args) -> int:
         report, _ = run_learn(cfg, model)
     except MatchingFailure as exc:
         print(f"error: matching failed: {exc}", file=sys.stderr)
-        return EXIT_MATCHING
+        return EXIT_LEARNING
+    except LearningFailure as exc:
+        print(f"error: learning failed: {exc}", file=sys.stderr)
+        return EXIT_LEARNING
     lines = [CSV_HEADER, _csv_row(report["row"])]
     csv_text = "\n".join(lines) + "\n"
     if args.out:

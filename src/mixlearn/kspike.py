@@ -23,7 +23,7 @@ import numpy as np
 
 from .linalg import project_to_simplex
 from .lp import LpInfeasible, solve_lp
-from .model import InputError, KSpikeDistribution
+from .model import InputError, KSpikeDistribution, LearningFailure
 
 logger = logging.getLogger(__name__)
 
@@ -211,7 +211,8 @@ def solve_lambda(g, xi: float, k: int):
 
     Minimizes ||x||_1 subject to ||G x||_1 <= 2^k k xi and x_k = 1, where
     G_ij = g_(i+j) is the k x (k+1) moment Hankel slice.  Always feasible for
-    honest inputs; infeasibility indicates corrupt statistics and raises.
+    exact moments; noisy statistics can leave it infeasible, which raises
+    ``LearningFailure``.
     """
     g = np.asarray(g, dtype=float)
     if g.shape != (2 * k,):
@@ -239,7 +240,7 @@ def solve_lambda(g, xi: float, k: int):
     try:
         sol = solve_lp(cost, a_ub=a_ub, b_ub=b_ub)
     except LpInfeasible as exc:
-        raise InputError("corrupt statistics: annihilator LP infeasible") from exc
+        raise LearningFailure("corrupt statistics: annihilator LP infeasible") from exc
     lam = np.empty(k + 1)
     lam[:k] = sol.x[:k] - sol.x[k:2 * k]
     lam[k] = 1.0

@@ -4,7 +4,12 @@ Stages: estimate the mean distribution and the 2-snapshot matrix, extract the
 thresholded covariance eigenspace, learn the 1-D projection of the mixture on
 a random orthonormal basis of that space (and on rotated test directions),
 reconcile the per-direction spikes into k points, and project each point onto
-the simplex in l1.
+the simplex in l1.  Each direction is first flattened by the direction
+program (least l-inf norm at a given overlap with the direction), which
+``solve_direction_program`` solves exactly in closed form.
+
+A run whose statistics cannot be fitted ends in ``LearningFailure``;
+``MatchingFailure`` is the case where the spikes do not reconcile.
 
 Three statistics regimes share the code path:
 
@@ -42,7 +47,7 @@ from .kspike import (
     learn_kspike_from_nbm,
     xi_for_sample_count,
 )
-from .model import InputError, KSpikeDistribution, MixtureSource
+from .model import InputError, KSpikeDistribution, LearningFailure, MixtureSource
 from .sampling import RngStream, SnapshotBatch, binarize
 from .spectral import empirical_M, estimate_A, random_basis
 from .isotropize import estimate_r
@@ -128,7 +133,7 @@ class LearnerConstants:
         }
 
 
-class MatchingFailure(Exception):
+class MatchingFailure(LearningFailure):
     """Per-direction spike sets could not be reconciled into bijections."""
 
 
@@ -171,42 +176,21 @@ class Matching:
     assignments: np.ndarray  # (kprime - 1, k)
 
 
-def _cap_value(c, v_sorted_desc, v_sq_suffix):
-    """max v.x over { ||x||_inf <= c, ||x||_2 <= 1 } plus the maximizing scale.
+def solve_direction_program(v, delta, zeta):
+    """Minimize ||x||_inf over { v.x >= 1 - 4 delta/zeta^2, ||x||_2 <= 1 }, exactly.
 
-    The maximizer clips a scaled copy of v at +-c; the scale solves a
-    monotone 1-d equation resolved exactly by scanning the sorted order.
-    Returns (value, scale) with scale = inf when even full clipping stays
-    inside the unit ball.
-    """
-    m = v_sorted_desc.size
-    nnz = int(np.count_nonzero(v_sorted_desc))
-    if nnz == 0:
-        return 0.0, math.inf
-    if c * c * nnz <= 1.0:
-        return c * float(v_sorted_desc.sum()), math.inf
-    # with j entries clipped at c: s^2 * sum_{i>j} v_i^2 + j c^2 = 1
-    for j in range(nnz):
-        tail = v_sq_suffix[j]
-        if tail <= 0.0:
-            continue
-        s = math.sqrt(max(1.0 - j * c * c, 0.0) / tail)
-        hi_ok = j == 0 or s * v_sorted_desc[j - 1] >= c - 1e-15
-        lo_ok = s * v_sorted_desc[j] <= c + 1e-15
-        if hi_ok and lo_ok:
-            clipped = c * float(v_sorted_desc[:j].sum())
-            rest = s * float(tail)
-            return clipped + rest, s
-    # all nonzero entries clipped
-    return c * float(v_sorted_desc.sum()), math.inf
-
-
-def solve_direction_program(v, delta, zeta, iterations=60):
-    """Minimize ||x||_inf over { v.x >= 1 - 4 delta/zeta^2, ||x||_2 <= 1 }.
-
-    Bisection on the l-inf cap: for a fixed cap the inner maximization of
-    v.x has the closed form above.  Returns the normalized optimizer
-    a = x*/||x*||_2.  Far exceeds the 2-approximation the analysis needs.
+    For a cap c, the largest v.x over { ||x||_inf <= c, ||x||_2 <= 1 } clips
+    a scaled copy of v: x = sign(v) min(s|v|, c).  With u = |v| sorted
+    descending, S_j = u_1 + .. + u_j and T_j = u_{j+1}^2 + ..., clipping the
+    j largest entries gives F(c) = c S_j + sqrt((1 - j c^2) T_j), and
+    s = sqrt((1 - j c^2) / T_j).  F does not decrease in c; entry j reaches
+    the cap at the breakpoint c_j = 1/sqrt(j - 1 + T_{j-1}/u_j^2).  For the
+    largest j with F(c_j) >= t, the target t is reached on [c_{j+1}, c_j]
+    (c_{j+1} = 0 past the last nonzero entry), and the smallest feasible cap
+    is the smaller root of (S_j^2 + j T_j) c^2 - 2 t S_j c + (t^2 - T_j) = 0,
+    clamped to that segment.  When T_j = 0 every nonzero entry is clipped
+    and the root is c = t/S_j.  One sort and a few vector passes; returns
+    the normalized optimizer a = x*/||x*||_2.
     """
     v = np.asarray(v, dtype=float)
     if abs(np.linalg.norm(v) - 1.0) > 1e-8:
@@ -215,28 +199,31 @@ def solve_direction_program(v, delta, zeta, iterations=60):
     if target <= 0.0:
         return v / np.linalg.norm(v)
 
-    order = np.argsort(-np.abs(v), kind="stable")
-    v_sorted = np.abs(v)[order]
-    suffix = np.concatenate([np.cumsum(v_sorted[::-1] ** 2)[::-1], [0.0]])
-
-    hi = float(v_sorted[0])
-    lo = 0.0
-    best_c, best_s = hi, None  # c = ||v||_inf is always feasible (x = v)
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        val, s = _cap_value(mid, v_sorted, suffix)
-        if val >= target:
-            hi = mid
-            best_c, best_s = mid, s
-        else:
-            lo = mid
-    x = np.sign(v) * np.minimum((best_s if best_s not in (None, math.inf) else 1e18) * np.abs(v), best_c)
-    if best_s is None:
-        x = v.copy()
-    norm = np.linalg.norm(x)
-    if norm <= 0.0:
-        return v / np.linalg.norm(v)
-    return x / norm
+    mag = np.abs(v)
+    order = np.argsort(-mag, kind="stable")
+    u = mag[order]
+    sq = u * u
+    nnz = int(np.count_nonzero(sq))  # entries whose square underflows never reach the cap
+    u, sq = u[:nnz], sq[:nnz]
+    head = np.cumsum(u)  # S_j
+    rest = np.cumsum(sq[::-1])[::-1]  # T_{j-1}
+    ratio = rest / sq
+    knots = 1.0 / np.sqrt(np.arange(nnz) + ratio)  # c_j
+    # F(c_j) with the j - 1 larger entries clipped, where s u_j = c_j
+    reach = knots * (head - u + ratio * u)
+    hits = np.flatnonzero(reach >= target)
+    # no hit only when rounding leaves ||v|| a hair short of t; x = v then
+    i = int(hits[-1]) if hits.size else 0
+    j, s_j = i + 1, float(head[i])
+    t_j = float(rest[j]) if j < nnz else 0.0  # T_j
+    # the smaller root, in the form free of cancellation
+    disc = t_j * max(s_j * s_j + j * t_j - j * target * target, 0.0)
+    c = (target * target - t_j) / (target * s_j + math.sqrt(disc))
+    c = min(max(c, float(knots[i + 1]) if j < nnz else 0.0), float(knots[i]))
+    scale = math.sqrt(max(1.0 - j * c * c, 0.0) / t_j) if t_j > 0.0 else 0.0
+    x = scale * v
+    x[order[:j]] = c * np.sign(v[order[:j]])
+    return x / np.linalg.norm(x)
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,12 @@
 
 ``hard_pair`` builds two k-spike distributions on fixed interleaved locations
 whose first 2k-2 raw moments coincide while their transportation distance
-stays at least 1/((2k-1) rho); the weights come from a small LP whose value
-certifies that even the higher moments (up to aperture b) are exponentially
-close.  ``tv_snapshot_distance`` evaluates the total variation between the
-induced b-snapshot distributions both in closed form (from the moment gaps)
-and by exhaustive enumeration of {0,1}^b.
+stays at least 1/((2k-1) rho); the weights solve the square moment system,
+and the value of the paper's LP at them (its only feasible point) certifies
+that even the higher moments (up to aperture b) are exponentially close.
+``tv_snapshot_distance`` evaluates the total variation between the induced
+b-snapshot distributions both in closed form (from the moment gaps) and by
+exhaustive enumeration of {0,1}^b.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kspike import binom_profile_matrix, vandermonde
-from .lp import LpInfeasible, LpUnbounded, solve_lp
-from .model import InputError, KSpikeDistribution, spike_transport
+from .model import InputError, KSpikeDistribution
 
 __all__ = [
     "HardPair",
@@ -62,11 +62,15 @@ def hard_pair(k: int, b: int, rho: float, moment_tol=1e-8) -> HardPair:
     """Construct the moment-matched hard pair for aperture b and scale rho.
 
     Locations are fixed at alpha_i = 2(i-1)/((2k-1) rho) and
-    beta_i = (2i-1)/((2k-1) rho); the LP picks weights y, z minimizing
-    sum_{l=2k-1}^{b} C(b,l) 2^l |g_l(y,alpha) - g_l(z,beta)| subject to the
-    first 2k-2 moments agreeing.  The optimum provably stays below
-    4 * 3^b / rho^(2k-1); this is asserted, and the moment agreement is
-    re-certified from the returned weights rather than LP residuals.
+    beta_i = (2i-1)/((2k-1) rho).  The weights y, z solve the square system
+    of the first 2k-2 moment equalities plus both normalizations; its unique
+    solution is the only point of the LP that minimizes
+    sum_{l=2k-1}^{b} C(b,l) 2^l |g_l(y,alpha) - g_l(z,beta)| subject to those
+    equalities, so the objective at it is the LP value.  The value provably
+    stays below 4 * 3^b / rho^(2k-1).  The bound, the nonnegativity of the
+    weights and the moment agreement are re-certified from the returned
+    weights; where floating point cannot meet them (from k = 13 at
+    rho = 2) an ``InputError`` names k and rho.
     """
     if k < 1:
         raise InputError("k must be at least 1")
@@ -78,92 +82,37 @@ def hard_pair(k: int, b: int, rho: float, moment_tol=1e-8) -> HardPair:
     i = np.arange(1, k + 1)
     alpha = eps * 2.0 * (i - 1) / (2 * k - 1)
     beta = eps * (2.0 * i - 1) / (2 * k - 1)
-
-    n_lam = b - (2 * k - 1) + 1
-    nv = 2 * k + n_lam  # y, z, lambda
     va = vandermonde(alpha, b + 1)  # (k, b+1) powers 0..b
     vb = vandermonde(beta, b + 1)
 
-    ell_hi = np.arange(2 * k - 1, b + 1)
-    cost = np.zeros(nv)
-    cost[2 * k:] = [math.comb(b, int(l)) * 2.0 ** int(l) for l in ell_hi]
-
-    # moment agreement and normalization as native equality rows; encoding
-    # them as paired inequalities at a small tolerance breeds near-duplicate
-    # degenerate rows that destabilize the pivoting
-    rows_eq = []
-    rhs_eq = []
-    for l in range(2 * k - 1):
-        row = np.zeros(nv)
-        row[:k] = -va[:, l]
-        row[k:2 * k] = vb[:, l]
-        rows_eq.append(row)
-        rhs_eq.append(0.0)
-    total = np.zeros(nv)
-    total[:k] = 1.0
-    rows_eq.append(total)
-    rhs_eq.append(1.0)
-
-    rows_ub = []
-    rhs_ub = []
-    for j, l in enumerate(ell_hi):
-        row = np.zeros(nv)
-        row[:k] = -va[:, l]
-        row[k:2 * k] = vb[:, l]
-        row[2 * k + j] = -1.0
-        rows_ub.append(row.copy())
-        rhs_ub.append(0.0)
-        row2 = np.zeros(nv)
-        row2[:k] = va[:, l]
-        row2[k:2 * k] = -vb[:, l]
-        row2[2 * k + j] = -1.0
-        rows_ub.append(row2)
-        rhs_ub.append(0.0)
-
-    try:
-        sol = solve_lp(cost, a_ub=np.array(rows_ub), b_ub=np.array(rhs_ub),
-                       a_eq=np.array(rows_eq), b_eq=np.array(rhs_eq))
-        y = np.clip(sol.x[:k], 0.0, None)
-        z = np.clip(sol.x[k:2 * k], 0.0, None)
-    except LpInfeasible as exc:  # pragma: no cover - construction is always feasible
-        raise AssertionError("hard-pair LP infeasible") from exc
-    except LpUnbounded:
-        # cannot genuinely happen (costs are nonnegative); a numerical artifact
-        # of extreme coefficient ranges, recovered below by the square solve
-        y = z = None
-
-    # the 2k-1 moment equalities plus the normalization form a square system
-    # in (y, z) with a unique solution (alternating binomial weights); the
-    # exact solve polishes the LP's equality residuals away
+    # moments 0..2k-2 agree and y sums to 1: a square system in (y, z) with a
+    # unique solution (alternating binomial weights)
     square = np.zeros((2 * k, 2 * k))
     square[: 2 * k - 1, :k] = va[:, : 2 * k - 1].T
     square[: 2 * k - 1, k:] = -vb[:, : 2 * k - 1].T
     square[2 * k - 1, :k] = 1.0
     rhs = np.zeros(2 * k)
     rhs[2 * k - 1] = 1.0
+    failed = f"hard-pair construction fails in floating point at k={k}, rho={rho:g}"
     try:
-        polished = np.linalg.solve(square, rhs)
-        if polished.min() >= -1e-12 and np.abs(square @ polished - rhs).max() < 1e-10:
-            y = np.clip(polished[:k], 0.0, None)
-            z = np.clip(polished[k:], 0.0, None)
-    except np.linalg.LinAlgError:
-        pass
-    if y is None:
-        raise AssertionError("hard-pair construction failed on both routes")
+        weights = np.linalg.solve(square, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise InputError(f"{failed}: singular moment system") from exc
+    if weights.min() < -1e-12 or np.abs(square @ weights - rhs).max() >= 1e-10:
+        raise InputError(f"{failed}: moment solve leaves negative weights or a residual")
+    y = np.clip(weights[:k], 0.0, None)
+    z = np.clip(weights[k:], 0.0, None)
     first = KSpikeDistribution(y / y.sum(), alpha)
     second = KSpikeDistribution(z / z.sum(), beta)
 
-    # certify at the final weights rather than trusting LP residuals; the
-    # feasible set is the single polished point, so this is the LP optimum
-    ga = first.weights @ va
-    gb = second.weights @ vb
-    gap = np.abs(ga - gb)
-    value = float(np.dot(cost[2 * k:], gap[2 * k - 1:]))
+    gap = np.abs(first.weights @ va - second.weights @ vb)
+    cost = np.array([math.comb(b, l) * 2.0**l for l in range(2 * k - 1, b + 1)])
+    value = float(np.dot(cost, gap[2 * k - 1:]))
     bound = 4.0 * 3.0**b / rho ** (2 * k - 1)
     if value > bound * (1.0 + 1e-9):
-        raise AssertionError(f"hard-pair value {value} exceeds the bound {bound}")
+        raise InputError(f"{failed}: value {value} exceeds the bound {bound}")
     if gap[: 2 * k - 1].max(initial=0.0) > moment_tol:
-        raise AssertionError(f"recomputed moment agreement worse than {moment_tol}")
+        raise InputError(f"{failed}: recomputed moment agreement worse than {moment_tol}")
     return HardPair(k=k, b=b, rho=float(rho), first=first, second=second, lp_value=value)
 
 

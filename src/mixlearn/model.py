@@ -19,6 +19,7 @@ from .lp import solve_lp
 
 __all__ = [
     "InputError",
+    "LearningFailure",
     "MixtureSource",
     "KSpikeDistribution",
     "WidthReport",
@@ -34,6 +35,14 @@ WEIGHT_TOL = 1e-12
 
 class InputError(ValueError):
     """Invalid caller-supplied data (bad normalization, ranges, shapes)."""
+
+
+class LearningFailure(Exception):
+    """A valid run whose statistics the pipeline could not turn into a mixture.
+
+    Too few or too noisy samples end a run this way; ``MatchingFailure`` is
+    the case where the per-direction spikes cannot be reconciled.
+    """
 
 
 def _check_distribution(vec, what, tol=WEIGHT_TOL):

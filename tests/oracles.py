@@ -5,6 +5,7 @@ Each oracle takes a route independent of the library code it checks
 at the small sizes the tests give it.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -88,6 +89,71 @@ def simplex_project_l1_lp(phat):
     b_eq = np.concatenate([phat, [1.0]])
     sol = solve_lp(cost, a_eq=a_eq, b_eq=b_eq)
     return sol.x[:n]
+
+
+def _cap_value(c, v_sorted_desc, v_sq_suffix):
+    """max v.x over { ||x||_inf <= c, ||x||_2 <= 1 } plus the maximizing scale.
+
+    The maximizer clips a scaled copy of v at +-c; the scale solves a
+    monotone 1-d equation resolved exactly by scanning the sorted order.
+    Returns (value, scale) with scale = inf when even full clipping stays
+    inside the unit ball.
+    """
+    nnz = int(np.count_nonzero(v_sorted_desc))
+    if nnz == 0:
+        return 0.0, math.inf
+    if c * c * nnz <= 1.0:
+        return c * float(v_sorted_desc.sum()), math.inf
+    # with j entries clipped at c: s^2 * sum_{i>j} v_i^2 + j c^2 = 1
+    for j in range(nnz):
+        tail = v_sq_suffix[j]
+        if tail <= 0.0:
+            continue
+        s = math.sqrt(max(1.0 - j * c * c, 0.0) / tail)
+        hi_ok = j == 0 or s * v_sorted_desc[j - 1] >= c - 1e-15
+        lo_ok = s * v_sorted_desc[j] <= c + 1e-15
+        if hi_ok and lo_ok:
+            clipped = c * float(v_sorted_desc[:j].sum())
+            rest = s * float(tail)
+            return clipped + rest, s
+    # all nonzero entries clipped
+    return c * float(v_sorted_desc.sum()), math.inf
+
+
+def direction_program_bisection(v, delta, zeta, iterations=60):
+    """Bisection route for learner.solve_direction_program.
+
+    Bisects the l-inf cap; for a fixed cap, ``_cap_value`` scans the sorted
+    order for the inner maximization of v.x.  Returns the normalized
+    optimizer.
+    """
+    v = np.asarray(v, dtype=float)
+    target = 1.0 - 4.0 * delta / zeta**2
+    if target <= 0.0:
+        return v / np.linalg.norm(v)
+
+    order = np.argsort(-np.abs(v), kind="stable")
+    v_sorted = np.abs(v)[order]
+    suffix = np.concatenate([np.cumsum(v_sorted[::-1] ** 2)[::-1], [0.0]])
+
+    hi = float(v_sorted[0])
+    lo = 0.0
+    best_c, best_s = hi, None  # c = ||v||_inf is always feasible (x = v)
+    for _ in range(iterations):
+        mid = 0.5 * (lo + hi)
+        val, s = _cap_value(mid, v_sorted, suffix)
+        if val >= target:
+            hi = mid
+            best_c, best_s = mid, s
+        else:
+            lo = mid
+    x = np.sign(v) * np.minimum((best_s if best_s not in (None, math.inf) else 1e18) * np.abs(v), best_c)
+    if best_s is None:
+        x = v.copy()
+    norm = np.linalg.norm(x)
+    if norm <= 0.0:
+        return v / np.linalg.norm(v)
+    return x / norm
 
 
 def pascal_inverse_identity_exact(b: int) -> bool:

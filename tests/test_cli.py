@@ -8,6 +8,7 @@ from mixlearn.cli import (
     CSV_HEADER,
     EXIT_CONFIG,
     EXIT_IO,
+    EXIT_LEARNING,
     EXIT_OK,
     ExperimentConfig,
     generate_source,
@@ -50,6 +51,15 @@ class TestLearnCommand:
     def test_missing_model_exits_2(self, tmp_path):
         rc = main(["learn", "--model", str(tmp_path / "nope.json")])
         assert rc == EXIT_IO
+
+    def test_noisy_statistics_exit_1(self, tmp_path, capsys):
+        # at 100 snapshots per aperture this seed leaves the annihilator LP
+        # infeasible: a failed run, not an invalid config
+        model = self._model(tmp_path, n=16, seed=5, zeta=0.5)
+        rc = main(["learn", "--model", str(model), "--seed", "11", "--samples1", "100",
+                   "--samples2", "100", "--samples-hi", "100", "--zeta", "0.5"])
+        assert rc == EXIT_LEARNING
+        assert "learning failed: corrupt statistics" in capsys.readouterr().err
 
     def test_invalid_config_exits_3(self, tmp_path):
         model = self._model(tmp_path)
@@ -206,3 +216,14 @@ class TestLowerboundCommand:
         rc = main(["lowerbound", "--k", "1"])
         assert rc == EXIT_OK
         assert "lp_value" in capsys.readouterr().out
+
+    def test_k11_completes(self, capsys):
+        rc = main(["lowerbound", "--k", "11"])
+        assert rc == EXIT_OK
+        rows = dict(line.split(",", 1) for line in capsys.readouterr().out.strip().splitlines()[1:])
+        assert float(rows["lp_value"]) <= float(rows["lp_bound"])
+
+    def test_k14_exits_3(self, capsys):
+        rc = main(["lowerbound", "--k", "14"])
+        assert rc == EXIT_CONFIG
+        assert "k=14, rho=2" in capsys.readouterr().err

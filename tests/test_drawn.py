@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from mixlearn.cli import ExperimentConfig, generate_source, run_learn
 from mixlearn.isotropize import estimate_r
 from mixlearn.kspike import empirical_nbm
-from mixlearn.learner import DrawnInputs, MatchingFailure, _DrawnStats, _OracleStats
-from mixlearn.model import InputError, MixtureSource, mixture_transport, width_report
+from mixlearn.learner import DrawnInputs, _DrawnStats, _OracleStats
+from mixlearn.model import InputError, LearningFailure, MixtureSource, mixture_transport, width_report
 from mixlearn.sampling import RngStream, binarize, draw_snapshots
 from mixlearn.spectral import empirical_M
 
@@ -188,10 +188,10 @@ _SOURCES = {n: generate_source(ExperimentConfig(n=n, k=2, seed=5, zeta=0.5)) for
 
 
 def _outcome(cfg, model):
-    # at small N a run can end in an error; replay must reproduce that too
+    # at small N a run can end in a learning failure; replay must reproduce that too
     try:
         report, _ = run_learn(cfg, model)
-    except (MatchingFailure, InputError) as exc:
+    except LearningFailure as exc:
         return f"{type(exc).__name__}: {exc}"
     del report["row"]["wall_ms"]
     return json.dumps(report)

@@ -21,7 +21,7 @@ from mixlearn.kspike import (
     vandermonde,
     xi_for_sample_count,
 )
-from mixlearn.model import InputError, KSpikeDistribution, spike_transport
+from mixlearn.model import InputError, KSpikeDistribution, LearningFailure, spike_transport
 from mixlearn.sampling import RngStream
 
 from conftest import random_spikes
@@ -151,7 +151,7 @@ class TestSolveLambda:
 
     def test_infeasible_lp_is_typed_error(self):
         # no monic x + lam_0 has |g_0 lam_0 + g_1| <= 2 xi when g_0 = 0, g_1 = 1
-        with pytest.raises(InputError, match="annihilator LP infeasible"):
+        with pytest.raises(LearningFailure, match="annihilator LP infeasible"):
             solve_lambda(np.array([0.0, 1.0]), 1e-6, 1)
 
     def test_matches_enumeration_oracle(self, rng):

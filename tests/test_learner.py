@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixlearn.learner import (
     LearnerConstants,
@@ -19,7 +21,12 @@ from mixlearn.sampling import RngStream, draw_snapshots
 from mixlearn.spectral import estimate_A, random_basis
 
 from conftest import two_block_source
-from oracles import simplex_project_l1_lp
+from oracles import direction_program_bisection, simplex_project_l1_lp
+
+# entries with zeros, ties and both signs; none below 1e-12 in magnitude, where
+# the reference's stand-in for an infinite scale (1e18) would stop clipping them
+_ENTRY = st.one_of(st.just(0.0), st.sampled_from([-1.0, -0.5, 0.5, 1.0]),
+                   st.floats(-1.0, 1.0).filter(lambda x: abs(x) >= 1e-12))
 
 
 class TestDirectionProgram:
@@ -47,6 +54,29 @@ class TestDirectionProgram:
         # scaled-back cap is ||x*||_inf <= 2x the grid optimum
         scale_back = np.abs(a).max() * c  # |x*| >= c since v.x* >= c, ||x*||<=1
         assert scale_back <= 2.0 * grid_opt + 1e-6
+
+    @settings(max_examples=300, deadline=None)
+    @given(entries=st.lists(_ENTRY, min_size=1, max_size=200).filter(any),
+           log_delta=st.floats(-10.0, -1.0), zeta=st.floats(0.05, 1.0))
+    def test_matches_bisection_reference(self, entries, log_delta, zeta):
+        # 4 delta / zeta^2 >= 4e-10: as 1 - t -> 0 the optimal cap moves like
+        # sqrt(1 - t), so rounding t alone shifts any solver by ~1e-16/sqrt(1 - t)
+        v = np.array(entries)
+        v /= np.linalg.norm(v)
+        delta = 10.0**log_delta
+        a = solve_direction_program(v, delta, zeta)
+        assert np.abs(a - direction_program_bisection(v, delta, zeta)).max() <= 1e-9
+        target = 1.0 - 4.0 * delta / zeta**2
+        assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
+        if target > 0.0:
+            assert float(v @ a) >= target * (1.0 - 1e-12)
+
+    def test_all_entries_clipped_is_exact(self):
+        # t = 0.5 < 1/sqrt(2): the least cap clips both entries, however small
+        # the second, so the optimizer is flat
+        v = np.array([-1.0, 1e-20])
+        a = solve_direction_program(v, delta=1.0 / 32.0, zeta=0.5)
+        assert np.allclose(a, [-1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)], atol=1e-15)
 
     def test_unit_norm_required(self):
         from mixlearn.model import InputError
