@@ -29,13 +29,12 @@ def main():
         for b in (2 * k - 1, 3 * k):
             for rho in args.rhos:
                 pair = hard_pair(k, b, rho)
-                bound = 4.0 * 3.0**b / rho ** (2 * k - 1)
                 tran = spike_transport(pair.first, pair.second).cost
                 below = aperture_indistinguishability(pair, 2 * k - 2)
                 at = aperture_indistinguishability(pair, 2 * k - 1)
                 nmin = sample_lower_bound(pair, args.psi)
                 lines.append(
-                    f"{k},{b},{rho!r},{pair.lp_value!r},{bound!r},{pair.separation!r},"
+                    f"{k},{b},{rho!r},{pair.lp_value!r},{pair.lp_bound!r},{pair.separation!r},"
                     f"{tran!r},{below!r},{at!r},{nmin!r}"
                 )
 

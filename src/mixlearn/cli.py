@@ -334,7 +334,7 @@ def cmd_lowerbound(args) -> int:
     lines.append(f"b,{b}")
     lines.append(f"rho,{rho}")
     lines.append(f"lp_value,{pair.lp_value!r}")
-    lines.append(f"lp_bound,{4.0 * 3.0 ** b / rho ** (2 * k - 1)!r}")
+    lines.append(f"lp_bound,{pair.lp_bound!r}")
     lines.append(f"separation,{pair.separation!r}")
     lines.append(f"transport_floor,{pair.transport_floor!r}")
     for i in range(k):
@@ -347,7 +347,7 @@ def cmd_lowerbound(args) -> int:
     for l in range(b + 1):
         lines.append(f"moment_{l}_first,{float(g1[l])!r}")
         lines.append(f"moment_{l}_second,{float(g2[l])!r}")
-    lines.append(f"tv_closed_form,{tv.closed_form!r}")
+    lines.append(f"tv_closed_form,{pair.lp_value / 2!r}")
     lines.append(f"tv_brute_force,{tv.brute_force!r}")
     lines.append(f"tv_aperture_{m},{aperture_indistinguishability(pair, m)!r}")
     lines.append(f"tv_aperture_{2 * k - 1},{aperture_indistinguishability(pair, 2 * k - 1)!r}")

@@ -1,15 +1,14 @@
 """Executable lower-bound demonstrations.
 
-``hard_pair`` builds two k-spike distributions on fixed interleaved locations
-whose first 2k-2 raw moments coincide while their transportation distance
-stays at least 1/((2k-1) rho); the weights solve the square moment system,
-and the value of the paper's LP at them (its only feasible point) certifies
-that even the higher moments (up to aperture b) are exponentially close.
-``tv_snapshot_distance`` evaluates the total variation between the induced
-b-snapshot distributions both in closed form (from the moment gaps) and by
-exhaustive enumeration of {0,1}^b.
+``hard_pair`` builds two k-spike distributions on the interleaved grid
+j / ((2k-1) rho), j = 0..2k-1, whose first 2k-2 raw moments coincide while
+their transportation distance stays at least 1/((2k-1) rho).  Their
+difference is a signed binomial measure on a rational grid, so its moment
+gaps (the paper's LP value) and its snapshot count gaps are summed exactly in
+integers and rounded once.  ``tv_snapshot_distance`` evaluates the total
+variation between the b-snapshot distributions of any two k-spike
+distributions in closed form and by enumerating {0,1}^b.
 """
-
 from __future__ import annotations
 
 import math
@@ -20,19 +19,17 @@ import numpy as np
 from .kspike import binom_profile_matrix, vandermonde
 from .model import InputError, KSpikeDistribution
 
-__all__ = [
-    "HardPair",
-    "hard_pair",
-    "tv_snapshot_distance",
-    "TvReport",
-    "aperture_indistinguishability",
-    "sample_lower_bound",
-]
+__all__ = ["MAX_APERTURE", "HardPair", "hard_pair", "tv_snapshot_distance", "TvReport",
+           "aperture_indistinguishability", "sample_lower_bound"]
+
+# Up to this aperture lp_bound = 4 * 3^b / rho^(2k-1) is a finite double for all k >= 1,
+# rho >= 2 (2 * 3^646 is not); m shares it, as the exact sums cost O(k m) big-integer steps.
+MAX_APERTURE = 645
 
 
 @dataclass(frozen=True)
 class HardPair:
-    """A moment-matched pair of k-spike distributions plus its LP certificate."""
+    """A moment-matched pair of k-spike distributions plus its LP value."""
 
     k: int
     b: int
@@ -49,71 +46,67 @@ class HardPair:
     def transport_floor(self):
         return 1.0 / ((2 * self.k - 1) * self.rho)
 
+    @property
+    def lp_bound(self):
+        """The paper's bound 4 * 3^b / rho^(2k-1) on the LP value, rounded once."""
+        n = 2 * self.k - 1
+        p, q = self.rho.as_integer_ratio()
+        return 4 * 3**self.b * q**n / p**n
 
-def _count_distribution(d: KSpikeDistribution, aperture: int):
-    """Probabilities of seeing i ones in an aperture-long snapshot, i = 0..aperture."""
-    profile = binom_profile_matrix(d.locations, aperture + 1)
-    nu = d.weights @ profile
-    binom = np.array([math.comb(aperture, i) for i in range(aperture + 1)], dtype=float)
-    return binom * nu
+
+def _gap_sum(k: int, rho: float, m: int, moments: bool) -> float:
+    """Exact weighted l1 norm of a gap vector of the hard pair, rounded once.
+
+    first - second puts c_j = (-1)^j C(2k-1, j) / 2^(2k-2) on x_j = j h.  With
+    moments this is sum_l C(m, l) 2^l |g_l| over its raw moments g_l (zero
+    below 2k-1, so the LP objective at aperture m); otherwise it is
+    sum_i C(m, i) |sum_j c_j x_j^i (1 - x_j)^(m-i)|, twice the m-snapshot TV.
+    With rho = p/q, every term is an integer over ((2k-1) p)^m 2^(2k-2).
+    """
+    n = 2 * k - 1
+    p, q = rho.as_integer_ratio()
+    den = n * p
+    x = np.array([j * q for j in range(n + 1)], dtype=object)
+    rest = den if moments else den - x
+    # v_j = c_j x_j^i rest_j^(m-i), scaled to integers, stepped over i
+    v = np.array([(-1) ** j * math.comb(n, j) for j in range(n + 1)], dtype=object) * rest**m
+    total = 0
+    for i in range(m + 1):
+        weight = math.comb(m, i) << i if moments else math.comb(m, i)
+        total += weight * abs(v.sum())
+        if i < m:
+            v = v // rest * x
+    return total / (den**m << (n - 1))
 
 
-def hard_pair(k: int, b: int, rho: float, moment_tol=1e-8) -> HardPair:
+def hard_pair(k: int, b: int, rho: float) -> HardPair:
     """Construct the moment-matched hard pair for aperture b and scale rho.
 
-    Locations are fixed at alpha_i = 2(i-1)/((2k-1) rho) and
-    beta_i = (2i-1)/((2k-1) rho).  The weights y, z solve the square system
-    of the first 2k-2 moment equalities plus both normalizations; its unique
-    solution is the only point of the LP that minimizes
-    sum_{l=2k-1}^{b} C(b,l) 2^l |g_l(y,alpha) - g_l(z,beta)| subject to those
-    equalities, so the objective at it is the LP value.  The value provably
-    stays below 4 * 3^b / rho^(2k-1).  The bound, the nonnegativity of the
-    weights and the moment agreement are re-certified from the returned
-    weights; where floating point cannot meet them (from k = 13 at
-    rho = 2) an ``InputError`` names k and rho.
+    With h = 1/((2k-1) rho), alpha_i = 2(i-1) h carry y_i = C(2k-1, 2i-2) /
+    2^(2k-2) and beta_i = (2i-1) h carry z_i = C(2k-1, 2i-1) / 2^(2k-2).  Their
+    difference is a (2k-1)-th finite difference, so raw moments 0..2k-2 agree
+    exactly, and the pair is the only feasible point of the LP minimizing
+    sum_{l=2k-1}^{b} C(b,l) 2^l |g_l(y,alpha) - g_l(z,beta)| under those
+    equalities.  Its value, summed exactly, stays below ``lp_bound``.
     """
     if k < 1:
         raise InputError("k must be at least 1")
-    if b < 2 * k - 1:
-        raise InputError("aperture b must be at least 2k-1")
-    if rho < 2:
-        raise InputError("rho must be at least 2")
-    eps = 1.0 / rho
-    i = np.arange(1, k + 1)
-    alpha = eps * 2.0 * (i - 1) / (2 * k - 1)
-    beta = eps * (2.0 * i - 1) / (2 * k - 1)
-    va = vandermonde(alpha, b + 1)  # (k, b+1) powers 0..b
-    vb = vandermonde(beta, b + 1)
-
-    # moments 0..2k-2 agree and y sums to 1: a square system in (y, z) with a
-    # unique solution (alternating binomial weights)
-    square = np.zeros((2 * k, 2 * k))
-    square[: 2 * k - 1, :k] = va[:, : 2 * k - 1].T
-    square[: 2 * k - 1, k:] = -vb[:, : 2 * k - 1].T
-    square[2 * k - 1, :k] = 1.0
-    rhs = np.zeros(2 * k)
-    rhs[2 * k - 1] = 1.0
-    failed = f"hard-pair construction fails in floating point at k={k}, rho={rho:g}"
-    try:
-        weights = np.linalg.solve(square, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise InputError(f"{failed}: singular moment system") from exc
-    if weights.min() < -1e-12 or np.abs(square @ weights - rhs).max() >= 1e-10:
-        raise InputError(f"{failed}: moment solve leaves negative weights or a residual")
-    y = np.clip(weights[:k], 0.0, None)
-    z = np.clip(weights[k:], 0.0, None)
-    first = KSpikeDistribution(y / y.sum(), alpha)
-    second = KSpikeDistribution(z / z.sum(), beta)
-
-    gap = np.abs(first.weights @ va - second.weights @ vb)
-    cost = np.array([math.comb(b, l) * 2.0**l for l in range(2 * k - 1, b + 1)])
-    value = float(np.dot(cost, gap[2 * k - 1:]))
-    bound = 4.0 * 3.0**b / rho ** (2 * k - 1)
-    if value > bound * (1.0 + 1e-9):
-        raise InputError(f"{failed}: value {value} exceeds the bound {bound}")
-    if gap[: 2 * k - 1].max(initial=0.0) > moment_tol:
-        raise InputError(f"{failed}: recomputed moment agreement worse than {moment_tol}")
-    return HardPair(k=k, b=b, rho=float(rho), first=first, second=second, lp_value=value)
+    if not 2 * k - 1 <= b <= MAX_APERTURE:
+        raise InputError(f"aperture b={b} must lie in [2k-1, {MAX_APERTURE}]; beyond "
+                         f"{MAX_APERTURE}, 4*3^b/rho^(2k-1) may not be a finite double")
+    if not (math.isfinite(rho) and rho >= 2):
+        raise InputError(f"rho must be finite and at least 2 (got {rho!r})")
+    rho, n = float(rho), 2 * k - 1
+    p, q = rho.as_integer_ratio()
+    grid = [j * q / (n * p) for j in range(n + 1)]
+    weights = [math.comb(n, j) / 2 ** (n - 1) for j in range(n + 1)]
+    first = KSpikeDistribution(np.array(weights[0::2]), np.array(grid[0::2]))
+    second = KSpikeDistribution(np.array(weights[1::2]), np.array(grid[1::2]))
+    pair = HardPair(k=k, b=b, rho=rho, first=first, second=second,
+                    lp_value=_gap_sum(k, rho, b, moments=True))
+    if pair.lp_value > pair.lp_bound * (1.0 + 1e-9):
+        raise InputError(f"LP value exceeds its bound at k={k}, b={b}, rho={rho:g}")
+    return pair
 
 
 @dataclass(frozen=True)
@@ -156,25 +149,31 @@ def tv_snapshot_distance(d1: KSpikeDistribution, d2: KSpikeDistribution, b: int,
 def aperture_indistinguishability(pair: HardPair, m: int) -> float:
     """Exact TV between the two m-snapshot distributions of a hard pair.
 
-    Enumerates {0,1}^m (grouped by the number of ones).  At apertures up to
-    2k-2 this is ~0 (bounded by the LP equality tolerance times the Pascal
-    mass); at 2k-1 it becomes positive.
+    It is exactly 0 for m <= 2k-2; at m = 2k-1 it equals ``lp_value / 2``
+    of the pair at b = 2k-1.
     """
     if m < 0:
         raise InputError("aperture must be nonnegative")
-    if m == 0:
-        return 0.0
-    c1 = _count_distribution(pair.first, m)
-    c2 = _count_distribution(pair.second, m)
-    return 0.5 * float(np.abs(c1 - c2).sum())
+    if m > MAX_APERTURE:
+        raise InputError(f"aperture m={m} exceeds {MAX_APERTURE}, the largest the demo evaluates")
+    return _gap_sum(pair.k, pair.rho, m, moments=False) / 2
 
 
 def sample_lower_bound(pair: HardPair, psi: float) -> float:
     """Implied sample-size bound N >= rho^(2k-1) / (8 * 3^b) * ln(1/(4 psi)).
 
-    Numeric report only; distinguishing the pair with confidence 1 - psi at
-    aperture b requires at least this many snapshots.
+    Distinguishing the pair with confidence 1 - psi at aperture b needs at
+    least this many snapshots; an ``InputError`` says when it overflows.
     """
     if not 0.0 < psi < 0.25:
         raise InputError("psi must lie in (0, 0.25)")
-    return pair.rho ** (2 * pair.k - 1) / (8.0 * 3.0**pair.b) * math.log(1.0 / (4.0 * psi))
+    n = 2 * pair.k - 1
+    p, q = pair.rho.as_integer_ratio()
+    try:
+        value = p**n / (8 * 3**pair.b * q**n) * math.log(1.0 / (4.0 * psi))
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise InputError(f"sample bound rho^(2k-1)/(8*3^b)*ln(1/(4psi)) exceeds the largest "
+                         f"double at k={pair.k}, b={pair.b}, rho={pair.rho:g}")
+    return value

@@ -145,6 +145,8 @@ class KSpikeDistribution:
         loc = np.asarray(self.locations, dtype=float)
         if loc.shape != w.shape:
             raise InputError("weights and locations must have equal length")
+        if not np.isfinite(loc).all():
+            raise InputError("locations has non-finite entries")
         if loc.min() < -WEIGHT_TOL or loc.max() > 1.0 + WEIGHT_TOL:
             raise InputError("locations must lie in [0, 1]")
         object.__setattr__(self, "weights", _freeze(w))
@@ -166,8 +168,14 @@ class KSpikeDistribution:
 
     @classmethod
     def from_json(cls, text):
-        doc = json.loads(text)
-        return cls(np.array(doc["weights"]), np.array(doc["locations"]))
+        """Parse a k-spike document; any decode, shape or type fault is an InputError."""
+        try:
+            doc = json.loads(text)
+            weights = np.asarray(doc["weights"], dtype=float)
+            locations = np.asarray(doc["locations"], dtype=float)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise InputError(f"malformed k-spike document: {type(exc).__name__}: {exc}") from exc
+        return cls(weights, locations)
 
 
 @dataclass(frozen=True)

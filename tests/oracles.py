@@ -7,6 +7,7 @@ at the small sizes the tests give it.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -168,6 +169,36 @@ def pascal_inverse_identity_exact(b: int) -> bool:
             if acc != (1 if i == j else 0):
                 return False
     return True
+
+
+def hard_pair_exact(k: int, b: int, rho: float):
+    """The hard pair from its square moment system, solved over the rationals.
+
+    Unknowns y on alpha_i = 2(i-1) h and z on beta_i = (2i-1) h, with
+    h = 1/((2k-1) rho) and rho taken exactly: raw moments 0..2k-2 of the two
+    agree and y sums to 1.  Gauss-Jordan elimination over ``Fraction``; returns
+    (y, z, lp_value), where lp_value = sum_{l=2k-1}^{b} C(b,l) 2^l |g_l gap|.
+    """
+    n = 2 * k - 1
+    h = 1 / (n * Fraction(rho))
+    alpha = [2 * i * h for i in range(k)]
+    beta = [(2 * i + 1) * h for i in range(k)]
+    rows = [[a**l for a in alpha] + [-(c**l) for c in beta] + [Fraction(0)] for l in range(n)]
+    rows.append([Fraction(1)] * k + [Fraction(0)] * k + [Fraction(1)])
+    for col in range(2 * k):
+        piv = next(r for r in range(col, 2 * k) if rows[r][col] != 0)
+        rows[col], rows[piv] = rows[piv], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(2 * k):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[col])]
+    y = [rows[i][-1] for i in range(k)]
+    z = [rows[k + i][-1] for i in range(k)]
+    lp_value = sum(math.comb(b, l) * 2**l * abs(sum(w * a**l for w, a in zip(y, alpha))
+                                                - sum(w * c**l for w, c in zip(z, beta)))
+                   for l in range(n, b + 1))
+    return y, z, lp_value
 
 
 def map_snapshot(item_map, row, rng):

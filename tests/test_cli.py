@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mixlearn.learner as learner
 from mixlearn.cli import (
@@ -223,7 +228,37 @@ class TestLowerboundCommand:
         rows = dict(line.split(",", 1) for line in capsys.readouterr().out.strip().splitlines()[1:])
         assert float(rows["lp_value"]) <= float(rows["lp_bound"])
 
-    def test_k14_exits_3(self, capsys):
-        rc = main(["lowerbound", "--k", "14"])
+    def test_k40_completes(self, capsys):
+        rc = main(["lowerbound", "--k", "40"])
+        assert rc == EXIT_OK
+        rows = dict(line.split(",", 1) for line in capsys.readouterr().out.strip().splitlines()[1:])
+        assert float(rows["lp_value"]) <= float(rows["lp_bound"])
+        assert rows["tv_aperture_78"] == "0.0"
+        assert float(rows["tv_aperture_78"]) < float(rows["tv_aperture_79"])
+        assert float(rows["tv_aperture_79"]) == pytest.approx(float(rows["tv_closed_form"]), rel=1e-12)
+
+    @pytest.mark.parametrize("argv, limit", [
+        (["--k", "2", "--b", "2000"], "645"),
+        (["--k", "3", "--m", "2000"], "645"),
+        (["--rho", "inf"], "finite"),
+        (["--rho", "nan"], "finite"),
+        (["--k", "3", "--rho", "1e300"], "largest double"),
+    ])
+    def test_out_of_range_exits_3(self, capsys, argv, limit):
+        rc = main(["lowerbound", *argv])
         assert rc == EXIT_CONFIG
-        assert "k=14, rho=2" in capsys.readouterr().err
+        assert limit in capsys.readouterr().err
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(-2, 8) | st.sampled_from([400, 10**6, 2**70]),
+           b=st.none() | st.integers(-3, 30) | st.sampled_from([646, 2000, 10**9]),
+           rho=st.floats(0.0, 1e6) | st.sampled_from([math.nan, math.inf, -math.inf, 1e300, 1e308]),
+           m=st.none() | st.integers(-3, 30) | st.sampled_from([646, 2000, 10**9]))
+    def test_exit_contract_property(self, k, b, rho, m):
+        argv = ["lowerbound", f"--k={k}", f"--rho={rho!r}"]
+        if b is not None:
+            argv.append(f"--b={b}")
+        if m is not None:
+            argv.append(f"--m={m}")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (EXIT_OK, EXIT_CONFIG)

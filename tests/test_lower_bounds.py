@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mixlearn.kspike import moments_of
 from mixlearn.lower_bounds import (
+    MAX_APERTURE,
     aperture_indistinguishability,
     hard_pair,
     sample_lower_bound,
@@ -12,7 +17,9 @@ from mixlearn.lower_bounds import (
 )
 from mixlearn.model import InputError, KSpikeDistribution, spike_transport
 
-from oracles import pascal_inverse_identity_exact
+from oracles import hard_pair_exact, pascal_inverse_identity_exact
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 class TestHardPair:
@@ -50,6 +57,29 @@ class TestHardPair:
             hard_pair(2, 2, 2.0)  # b < 2k-1
         with pytest.raises(InputError):
             hard_pair(2, 3, 1.5)  # rho < 2
+
+    @pytest.mark.parametrize("k, b, rho", [
+        (2, 3, math.inf), (2, 3, math.nan), (2, 3, -math.inf), (0, 3, 2.0), (1, MAX_APERTURE + 1, 2.0),
+    ])
+    def test_rejects_nonfinite_rho_and_apertures_past_the_limit(self, k, b, rho):
+        with pytest.raises(InputError):
+            hard_pair(k, b, rho)
+
+    def test_largest_aperture_keeps_the_bound_finite(self):
+        pair = hard_pair(1, MAX_APERTURE, 2.0)
+        assert math.isfinite(pair.lp_bound)
+        assert pair.lp_value <= pair.lp_bound
+
+    @pytest.mark.parametrize("rho", [2.0, 3.0, 5.5])
+    def test_matches_exact_square_solve(self, rho):
+        for k in range(1, 13):
+            b = 3 * k
+            y, z, lp_value = hard_pair_exact(k, b, rho)
+            pair = hard_pair(k, b, rho)
+            assert np.abs(pair.first.weights - np.array([float(v) for v in y])).max() <= 1e-15
+            assert np.abs(pair.second.weights - np.array([float(v) for v in z])).max() <= 1e-15
+            assert pair.lp_value == pytest.approx(float(lp_value), rel=1e-12, abs=0.0)
+            assert pair.lp_value <= pair.lp_bound
 
     def test_lp_bound_full_grid(self):
         for k in (1, 2, 3):
@@ -104,6 +134,26 @@ class TestApertureIndistinguishability:
         pair = hard_pair(2, 3, 2.0)
         assert aperture_indistinguishability(pair, 2) <= 1e-6
 
+    def test_threshold_is_exact_for_k_up_to_40(self):
+        for k in range(1, 41):
+            pair = hard_pair(k, 2 * k - 1, 2.0)
+            assert pair.lp_value <= pair.lp_bound
+            assert aperture_indistinguishability(pair, 2 * k - 2) == 0.0
+            at = aperture_indistinguishability(pair, 2 * k - 1)
+            assert at > 0.0
+            assert at == pytest.approx(pair.lp_value / 2, rel=1e-12, abs=0.0)
+
+    def test_matches_enumeration_above_threshold(self):
+        pair = hard_pair(2, 3, 2.0)
+        for m in (4, 6, 9):
+            brute = tv_snapshot_distance(pair.first, pair.second, m).brute_force
+            assert aperture_indistinguishability(pair, m) == pytest.approx(brute, abs=1e-13)
+
+    def test_aperture_limit(self):
+        pair = hard_pair(2, 3, 2.0)
+        with pytest.raises(InputError):
+            aperture_indistinguishability(pair, MAX_APERTURE + 1)
+
     def test_k1_full_aperture_distinguishable(self):
         pair = hard_pair(1, 1, 2.0)
         assert aperture_indistinguishability(pair, 0) == 0.0
@@ -113,6 +163,25 @@ class TestApertureIndistinguishability:
         pair = hard_pair(2, 3, 2.0)
         bound = sample_lower_bound(pair, psi=0.05)
         assert bound == pytest.approx(8.0 / (8 * 27) * math.log(1 / 0.2))
+
+
+def test_sample_bound_overflow_is_an_input_error():
+    with pytest.raises(InputError):
+        sample_lower_bound(hard_pair(3, 5, 1e300), psi=0.05)
+
+
+def test_lowerbound_demo_script_smoke(tmp_path):
+    out = tmp_path / "grid.csv"
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    subprocess.run([sys.executable, str(REPO / "scripts" / "run_lowerbound_demo.py"), "--kmax", "2",
+                    "--out", str(out)], check=True, env=env, timeout=60)
+    lines = out.read_text().strip().splitlines()
+    assert lines[0] == "k,b,rho,lp_value,lp_bound,separation,transport,tv_below,tv_at,sample_bound"
+    assert len(lines) == 1 + 2 * 2 * 2  # k in 1..2, b in (2k-1, 3k), rho in (2, 3)
+    for line in lines[1:]:
+        row = line.split(",")
+        assert float(row[3]) <= float(row[4])
+        assert float(row[7]) == 0.0 < float(row[8])
 
 
 def test_pascal_inverse_identity_sizes():

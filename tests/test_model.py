@@ -160,6 +160,22 @@ class TestSerialization:
         with pytest.raises(InputError):
             MixtureSource.from_json(json.dumps({"n": 3, "k": 1, "weights": [1.0], "constituents": [[0.5, 0.5]]}))
 
+    @pytest.mark.parametrize("locations", [[math.nan, 0.3], [0.2, math.inf], [-math.inf, 0.3]])
+    def test_spike_rejects_nonfinite_locations(self, locations):
+        with pytest.raises(InputError):
+            KSpikeDistribution(np.array([0.5, 0.5]), np.array(locations))
+
+    @pytest.mark.parametrize("text", [
+        '{"weights": [0.5, 0.5], "locations": [NaN, 0.3]}',
+        '{"weights": [0.5, 0.5], "locations": [0.1, 0.3]',
+        '{"weights": [1.0]}',
+        '[0.5, 0.5]',
+        '{"weights": [1.0], "locations": ["x"]}',
+    ])
+    def test_malformed_spike_document_is_input_error(self, text):
+        with pytest.raises(InputError):
+            KSpikeDistribution.from_json(text)
+
 
 def _transport_eq(k, l):
     a_eq = np.zeros((k + l, k * l))
