@@ -20,18 +20,15 @@ from .model import (
     transport_distance,
     width_report,
 )
-from .sampling import RngStream, SnapshotBatch, binarize, draw_snapshots, project_snapshot
+from .sampling import RngStream, SnapshotBatch, binarize, draw_snapshots
 from .isotropize import ItemMap, build_refinement, default_sigma, estimate_r, pull_back
-from .spectral import SpectralSubspace, empirical_M, estimate_A, projector_distance, random_basis
+from .spectral import SpectralSubspace, empirical_M, estimate_A, random_basis
 from .kspike import (
     KSpikeConfig,
     MomentVector,
     PascalPair,
     empirical_nbm,
-    learn_kspike,
     learn_kspike_from_nbm,
-    moments_of,
-    nbm_of,
     nbm_to_moments,
     pascal_pair,
     polynomial_roots,

@@ -33,6 +33,13 @@ EXIT_LEARNING = 1
 EXIT_IO = 2
 EXIT_CONFIG = 3
 
+# Largest refined domain --isotropize accepts.  At 4096, empirical_M's nprime^2
+# int64 bincount and its float copy take 128 MiB each, and LAPACK's eigensolve
+# of the nprime x nprime matrix takes about 26 s on one core of a 2-CPU x86
+# machine.  The default sigma can ask for far more: nprime = 25600 at n = 20,
+# a 5.2 GB bincount.
+MAX_NPRIME = 4096
+
 CSV_HEADER = "run_id,n,k,N1,N2,Nhi,seed,tran_dist,max_l1_err,max_w_err,wall_ms"
 
 
@@ -56,6 +63,10 @@ class ExperimentConfig:
     poisson: bool = False
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise InputError(f"{f.name} must be finite (got {value!r})")
         if self.n < 1 or self.k < 1:
             raise InputError("n and k must be positive")
         if min(self.samples1, self.samples2, self.samples_hi) < 0:
@@ -219,6 +230,9 @@ def run_learn(cfg: ExperimentConfig, model: MixtureSource):
             rt = estimate_r(batch1, model.n)
             sigma = cfg.sigma if cfg.sigma > 0 else default_sigma(cfg.eps, cfg.zeta, cfg.k, wmin)
             item_map = build_refinement(rt, sigma)
+            if item_map.nprime > MAX_NPRIME:
+                raise InputError(f"sigma={sigma!r} splits the items into nprime={item_map.nprime} "
+                                 f"copies, more than {MAX_NPRIME}; raise --sigma")
             batch1 = map_batch(item_map, batch1, rng.child(21))
             batch2 = map_batch(item_map, batch2, rng.child(22))
             batch_hi = map_batch(item_map, batch_hi, rng.child(23))
@@ -328,7 +342,6 @@ def cmd_lowerbound(args) -> int:
     if m is None:
         m = max(2 * k - 2, 0)
     pair = hard_pair(k, b, rho)
-    tv = tv_snapshot_distance(pair.first, pair.second, b)
     lines = ["quantity,value"]
     lines.append(f"k,{k}")
     lines.append(f"b,{b}")
@@ -348,7 +361,7 @@ def cmd_lowerbound(args) -> int:
         lines.append(f"moment_{l}_first,{float(g1[l])!r}")
         lines.append(f"moment_{l}_second,{float(g2[l])!r}")
     lines.append(f"tv_closed_form,{pair.lp_value / 2!r}")
-    lines.append(f"tv_brute_force,{tv.brute_force!r}")
+    lines.append(f"tv_brute_force,{tv_snapshot_distance(pair.first, pair.second, b)!r}")
     lines.append(f"tv_aperture_{m},{aperture_indistinguishability(pair, m)!r}")
     lines.append(f"tv_aperture_{2 * k - 1},{aperture_indistinguishability(pair, 2 * k - 1)!r}")
     lines.append(f"sample_bound_psi_0.05,{sample_lower_bound(pair, 0.05)!r}")

@@ -10,7 +10,6 @@ a uniformly random copy.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,6 @@ __all__ = [
     "build_refinement",
     "map_batch",
     "pull_back",
-    "refine_source",
     "default_sigma",
 ]
 
@@ -65,15 +63,6 @@ class ItemMap:
     def copy_owner(self):
         """Length-nprime array mapping each copy back to its original item."""
         return np.repeat(np.arange(self.n), self.splits)
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "sigma": self.sigma,
-                "splits": self.splits.tolist(),
-                "nprime": self.nprime,
-            }
-        )
 
 
 def estimate_r(batch: SnapshotBatch, n: int):
@@ -137,23 +126,3 @@ def pull_back(item_map: ItemMap, learned: MixtureSource) -> MixtureSource:
         rows.append(agg / total)
     return MixtureSource(learned.weights.copy(), np.array(rows))
 
-
-def refine_source(src: MixtureSource, item_map: ItemMap) -> MixtureSource:
-    """The analytic refined source: restrict to kept items, renormalize, split.
-
-    This is the distribution that mapped snapshots follow conditionally on
-    survival (per constituent), used by tests and oracle-mode experiments.
-    """
-    if src.n != item_map.n:
-        raise InputError("source domain does not match the item map")
-    keep = ~item_map.eliminated
-    owner = item_map.copy_owner()
-    rows = []
-    for t in range(src.k):
-        p = src.constituents[t]
-        kept_mass = p[keep].sum()
-        if kept_mass <= 0:
-            raise InputError("a constituent has no mass on kept items")
-        per_copy = np.where(keep, p / np.maximum(item_map.splits, 1), 0.0) / kept_mass
-        rows.append(per_copy[owner])
-    return MixtureSource(src.weights.copy(), np.array(rows))

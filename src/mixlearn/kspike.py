@@ -31,15 +31,12 @@ __all__ = [
     "MomentVector",
     "PascalPair",
     "KSpikeConfig",
-    "moments_of",
-    "nbm_of",
     "pascal_pair",
     "empirical_nbm",
     "nbm_to_moments",
     "solve_lambda",
     "polynomial_roots",
     "solve_weights",
-    "learn_kspike",
     "learn_kspike_from_nbm",
     "vandermonde",
     "binom_profile_matrix",
@@ -108,19 +105,6 @@ def binom_profile_matrix(locations, b: int):
     loc = np.asarray(locations, dtype=float)
     j = np.arange(b)
     return (1.0 - loc[:, None]) ** (b - 1 - j) * loc[:, None] ** j
-
-
-def moments_of(d: KSpikeDistribution, count: int | None = None) -> MomentVector:
-    """Raw moments g_i for i = 0..count-1 (count defaults to 2k)."""
-    count = 2 * d.k if count is None else count
-    g = d.weights @ vandermonde(d.locations, count)
-    return MomentVector(kind="raw", values=g, k=count // 2)
-
-
-def nbm_of(d: KSpikeDistribution) -> MomentVector:
-    """NBMs at aperture 2k-1: nu_i = sum_j t_j a_j^i (1-a_j)^(2k-1-i)."""
-    nu = d.weights @ binom_profile_matrix(d.locations, 2 * d.k)
-    return MomentVector(kind="nbm", values=nu, k=d.k)
 
 
 def empirical_nbm(bit_snapshots, k: int) -> MomentVector:
@@ -388,9 +372,3 @@ def learn_kspike_from_nbm(nu: MomentVector, cfg: KSpikeConfig) -> KSpikeDistribu
         logger.debug("k-spike fit residual ||y V - g|| = %.3e (eps_root %.3e)",
                      residual, cfg.eps_root)
     return KSpikeDistribution(weights=weights, locations=locations)
-
-
-def learn_kspike(bit_snapshots, cfg: KSpikeConfig) -> KSpikeDistribution:
-    """Learn a k-spike distribution from (2k-1)-bit snapshots."""
-    nu = empirical_nbm(bit_snapshots, cfg.k)
-    return learn_kspike_from_nbm(nu, cfg)

@@ -11,7 +11,10 @@ program (least l-inf norm at a given overlap with the direction), which
 A run whose statistics cannot be fitted ends in ``LearningFailure``;
 ``MatchingFailure`` is the case where the spikes do not reconcile.
 
-Three statistics regimes share the code path:
+Three statistics regimes share the code path.  Each inputs class is its own
+statistics: ``n``, ``mean_distribution``, ``two_snapshot_matrix``,
+``allocate`` (the per-direction sample slots) and ``direction_nbm``, plus a
+``statistics`` tag the manifest records.
 
 - ``OracleInputs`` feeds exact moments everywhere (for calibration
   experiments against a known source);
@@ -67,6 +70,8 @@ __all__ = [
     "simplex_project_l1",
     "learn_mixture",
 ]
+
+MATCH_RETRIES = 8  # test angles tried before matching gives up
 
 
 @dataclass(frozen=True)
@@ -226,40 +231,6 @@ def solve_direction_program(v, delta, zeta):
     return x / np.linalg.norm(x)
 
 
-@dataclass(frozen=True)
-class OracleInputs:
-    """Exact-statistics regime: moments computed from the true source."""
-
-    source: MixtureSource
-
-
-@dataclass(frozen=True)
-class DrawnInputs:
-    """Drawn-statistics regime: the statistics of snapshots from ``source``.
-
-    ``samples1``, ``samples2`` and ``samples_hi`` count the 1-, 2- and
-    (2k-1)-snapshots the statistics stand for; ``rng`` draws the item and
-    pair counts (the learner's own streams draw the per-direction
-    histograms).
-    """
-
-    source: MixtureSource
-    samples1: int
-    samples2: int
-    samples_hi: int
-    rng: RngStream
-
-
-@dataclass(frozen=True)
-class SampledInputs:
-    """Snapshot regime: 1-, 2-, and (2k-1)-aperture batches."""
-
-    batch1: SnapshotBatch
-    batch2: SnapshotBatch
-    batch_hi: SnapshotBatch
-    n: int
-
-
 def _multinomial_counts(gen, total, probs):
     """Cell counts of ``total`` iid draws over the cells of ``probs`` (flattened).
 
@@ -270,11 +241,13 @@ def _multinomial_counts(gen, total, probs):
     return gen.multinomial(total, p / p.sum())
 
 
-class _OracleStats:
-    statistics = "exact"
+@dataclass(frozen=True)
+class OracleInputs:
+    """Exact-statistics regime: moments computed from the true source."""
 
-    def __init__(self, source):
-        self.source = source
+    source: MixtureSource
+
+    statistics = "exact"
 
     @property
     def n(self):
@@ -295,42 +268,45 @@ class _OracleStats:
         return MomentVector(kind="nbm", values=nu, k=k), None
 
 
-class _DrawnStats(_OracleStats):
-    """Exact moments plus the multinomial noise of the snapshots they stand for.
+@dataclass(frozen=True)
+class DrawnInputs(OracleInputs):
+    """Drawn-statistics regime: the statistics of snapshots from ``source``.
 
-    Snapshots are iid draws from the mixture, so the item counts are
-    Multinomial(N1, r), the ordered pair counts Multinomial(N2, M) over n^2
-    cells, and the bit-sum histogram of a slot of N_slot (2k-1)-snapshots
-    projected on x is Multinomial(N_slot, C(2k-1, i) nu_i(x)).  Each
-    ``direction_nbm`` call draws a fresh histogram from the stream it is
+    ``samples1``, ``samples2`` and ``samples_hi`` count the 1-, 2- and
+    (2k-1)-snapshots the statistics stand for; ``rng`` draws the item and
+    pair counts (the learner's own streams draw the per-direction
+    histograms).  Snapshots are iid draws from the mixture, so the item
+    counts are Multinomial(N1, r), the ordered pair counts Multinomial(N2, M)
+    over n^2 cells, and the bit-sum histogram of a slot of N_slot
+    (2k-1)-snapshots projected on x is Multinomial(N_slot, C(2k-1, i) nu_i(x)).
+    Each ``direction_nbm`` call draws a fresh histogram from the stream it is
     given.
     """
 
+    samples1: int
+    samples2: int
+    samples_hi: int
+    rng: RngStream
+
     statistics = "drawn"
 
-    def __init__(self, inputs: DrawnInputs):
-        super().__init__(inputs.source)
-        self.inputs = inputs
-
     def mean_distribution(self):
-        total = self.inputs.samples1
-        if total < 1:
+        if self.samples1 < 1:
             raise InputError("need at least one 1-snapshot")
-        gen = self.inputs.rng.child(1).generator()
-        return _multinomial_counts(gen, total, super().mean_distribution()) / total
+        gen = self.rng.child(1).generator()
+        return _multinomial_counts(gen, self.samples1, super().mean_distribution()) / self.samples1
 
     def two_snapshot_matrix(self):
-        total = self.inputs.samples2
-        if total < 1:
+        if self.samples2 < 1:
             raise InputError("need at least one 2-snapshot")
-        gen = self.inputs.rng.child(2).generator()
-        counts = _multinomial_counts(gen, total, super().two_snapshot_matrix())
-        counts = counts.reshape(self.n, self.n) / total
+        gen = self.rng.child(2).generator()
+        counts = _multinomial_counts(gen, self.samples2, super().two_snapshot_matrix())
+        counts = counts.reshape(self.n, self.n) / self.samples2
         return 0.5 * (counts + counts.T)  # as empirical_M symmetrizes
 
     def allocate(self, n_slots):
         # equal sample budget per Learn call, split as np.array_split splits rows
-        q, extra = divmod(self.inputs.samples_hi, n_slots)
+        q, extra = divmod(self.samples_hi, n_slots)
         return [q + 1 if j < extra else q for j in range(n_slots)]
 
     def direction_nbm(self, slot, point_values, k, rng):
@@ -343,36 +319,36 @@ class _DrawnStats(_OracleStats):
         return MomentVector(kind="nbm", values=counts / (slot * binom), k=k), slot
 
 
-class _SampledStats:
+@dataclass(frozen=True)
+class SampledInputs:
+    """Snapshot regime: 1-, 2-, and (2k-1)-aperture batches."""
+
+    batch1: SnapshotBatch
+    batch2: SnapshotBatch
+    batch_hi: SnapshotBatch
+    n: int
+
     statistics = "rows"
 
-    def __init__(self, inputs: SampledInputs):
-        self.inputs = inputs
-
-    @property
-    def n(self):
-        return self.inputs.n
-
     def mean_distribution(self):
-        return estimate_r(self.inputs.batch1, self.n)
+        return estimate_r(self.batch1, self.n)
 
     def two_snapshot_matrix(self):
-        return empirical_M(self.inputs.batch2, self.n)
+        return empirical_M(self.batch2, self.n)
 
     def allocate(self, n_slots):
         # equal sample budget per Learn call
-        return np.array_split(self.inputs.batch_hi.rows, n_slots)
+        return np.array_split(self.batch_hi.rows, n_slots)
 
     def direction_nbm(self, slot, point_values, k, rng):
         if slot.shape[0] == 0:
             raise InputError("empty (2k-1)-snapshot chunk for a direction")
-        values = point_values[slot]
-        bits = binarize(values, rng)
+        bits = binarize(point_values[slot], rng)
         return empirical_nbm(bits, k), slot.shape[0]
 
 
-def learn_direction(v, consts: LearnerConstants, stats, slot, rng: RngStream,
-                    xi=None, tau_1d=None) -> DirectionResult:
+def learn_direction(v, consts: LearnerConstants, inputs, slot, rng: RngStream,
+                    xi=None) -> DirectionResult:
     """Learn the k-spike distribution of the mixture projected on ``v``.
 
     Items are mapped to a/(2h) shifted by 1/2 into [0, 1], snapshots are
@@ -384,12 +360,10 @@ def learn_direction(v, consts: LearnerConstants, stats, slot, rng: RngStream,
     a = solve_direction_program(v, consts.delta, consts.zeta)
     h = max(float(np.abs(a).max()), 1e-12)
     point_values = np.clip(a / (2.0 * h) + 0.5, 0.0, 1.0)
-    nu, n_samples = stats.direction_nbm(slot, point_values, consts.k, rng)
+    nu, n_samples = inputs.direction_nbm(slot, point_values, consts.k, rng)
     if xi is None:
         xi = 1e-12 if n_samples is None else xi_for_sample_count(consts.k, n_samples)
-    if tau_1d is None:
-        tau_1d = consts.L / (4.0 * h)
-    cfg = KSpikeConfig.consistent(consts.k, tau_1d, xi)
+    cfg = KSpikeConfig.consistent(consts.k, consts.L / (4.0 * h), xi)
     spikes = learn_kspike_from_nbm(nu, cfg)
     scale = 2.0 * h * float(np.dot(a, v))
     return DirectionResult(direction=np.asarray(v, dtype=float), a=a, spikes=spikes,
@@ -403,7 +377,7 @@ def _min_gap(values):
     return float(np.diff(values).min())
 
 
-def match_spikes(alpha_dirs, zhat_dirs, theta, consts: LearnerConstants, tol=None) -> Matching:
+def match_spikes(alpha_dirs, zhat_dirs, theta, consts: LearnerConstants) -> Matching:
     """Reconcile spikes across directions via the rotated test directions.
 
     Spike t2 of the last basis direction matches spike t1 of direction j when
@@ -411,10 +385,10 @@ def match_spikes(alpha_dirs, zhat_dirs, theta, consts: LearnerConstants, tol=Non
     within the matching tolerance of some learned test-direction spike.
     Raises MatchingFailure when any map fails to be a bijection.
 
-    ``tol=None`` uses the analysis tolerance (sqrt(2)+1) L / (2 + 5T), which
-    presumes analysis-regime sample sizes; ``tol="auto"`` sizes it from the
-    observed spike gaps instead (a quarter of the smallest grid separation
-    along the test direction), which is what desk-scale runs need.
+    The tolerance is a quarter of the smallest grid separation along the test
+    direction, sized from the observed spike gaps, and never below the
+    analysis tolerance (sqrt(2)+1) L / (2 + 5T), which alone presumes
+    analysis-regime sample sizes.
     """
     alpha_dirs = np.asarray(alpha_dirs, dtype=float)
     zhat_dirs = np.asarray(zhat_dirs, dtype=float)
@@ -424,12 +398,9 @@ def match_spikes(alpha_dirs, zhat_dirs, theta, consts: LearnerConstants, tol=Non
     last = alpha_dirs[-1]
     assignments = np.full((kprime - 1, k), -1, dtype=int)
     for j in range(kprime - 1):
-        if tol == "auto":
-            gap = min(_min_gap(alpha_dirs[j]) * abs(math.cos(theta)),
-                      _min_gap(last) * abs(math.sin(theta)))
-            tol_j = max(0.25 * gap, consts.match_tol)
-        else:
-            tol_j = consts.match_tol if tol is None else float(tol)
+        gap = min(_min_gap(alpha_dirs[j]) * abs(math.cos(theta)),
+                  _min_gap(last) * abs(math.sin(theta)))
+        tol_j = max(0.25 * gap, consts.match_tol)
         grid = alpha_dirs[j][:, None] * math.cos(theta) + last[None, :] * math.sin(theta)
         hit = np.abs(grid[:, :, None] - zhat_dirs[j][None, None, :]).min(axis=2) <= tol_j
         for t2 in range(k):
@@ -489,35 +460,25 @@ class LearnResult:
     manifest: dict = field(default_factory=dict)
 
 
-def _stats_for(inputs):
-    if isinstance(inputs, OracleInputs):
-        return _OracleStats(inputs.source)
-    if isinstance(inputs, DrawnInputs):
-        return _DrawnStats(inputs)
-    return _SampledStats(inputs)
-
-
-def learn_mixture(inputs, k, zeta, omega, delta, w_min, rng: RngStream,
-                  xi=None, tau_1d=None, match_tol="auto", retries=8) -> LearnResult:
+def learn_mixture(inputs, k, zeta, omega, delta, w_min, rng: RngStream, xi=None) -> LearnResult:
     """Run the full pipeline on exact, drawn or sampled statistics.
 
     Parameters mirror the algorithm inputs: the width parameter ``zeta``,
     confidence scale ``omega``, accuracy scale ``delta``, and the minimum
     mixture weight ``w_min`` (an input; blind estimation of it is not
-    supported).  ``xi``/``tau_1d`` override the 1-D learner's moment-accuracy
-    and separation parameters; by default they are derived from the
-    per-direction sample count and the pipeline constants.
+    supported).  ``xi`` overrides the 1-D learner's moment-accuracy
+    parameter; by default it is derived from the per-direction sample count.
+    Matching gets ``MATCH_RETRIES`` test angles.
 
     For a degenerate spectrum (kprime = 0) the best available answer is the
     mean distribution: the result carries k copies of it with uniform
     weights and the ``degenerate`` flag set.
     """
-    stats = _stats_for(inputs)
-    n = stats.n
+    n = inputs.n
     consts = LearnerConstants(n=n, k=k, zeta=zeta, omega=omega, delta=delta, w_min=w_min)
 
-    rtilde = stats.mean_distribution()
-    mtilde = stats.two_snapshot_matrix()
+    rtilde = inputs.mean_distribution()
+    mtilde = inputs.two_snapshot_matrix()
     sub = estimate_A(mtilde, rtilde, zeta)
     kprime = sub.kprime
     manifest = {
@@ -526,8 +487,8 @@ def learn_mixture(inputs, k, zeta, omega, delta, w_min, rng: RngStream,
         "threshold": sub.threshold,
         "seed": rng.seed,
         "stream": rng.stream,
-        "mode": "oracle" if isinstance(inputs, OracleInputs) else "sampled",
-        "statistics": stats.statistics,
+        "mode": "oracle" if inputs.statistics == "exact" else "sampled",
+        "statistics": inputs.statistics,
     }
 
     if kprime == 0:
@@ -539,11 +500,10 @@ def learn_mixture(inputs, k, zeta, omega, delta, w_min, rng: RngStream,
 
     basis = random_basis(sub, rng.child(1))
     n_slots = 2 * kprime - 1
-    slots = stats.allocate(n_slots)
+    slots = inputs.allocate(n_slots)
 
     base_results = [
-        learn_direction(basis[:, j], consts, stats, slots[j], rng.child(10 + j),
-                        xi=xi, tau_1d=tau_1d)
+        learn_direction(basis[:, j], consts, inputs, slots[j], rng.child(10 + j), xi=xi)
         for j in range(kprime)
     ]
     alpha_dirs = np.array([r.gammas for r in base_results])
@@ -556,25 +516,24 @@ def learn_mixture(inputs, k, zeta, omega, delta, w_min, rng: RngStream,
     else:
         matching = None
         last_error = None
-        for attempt in range(retries):
+        for attempt in range(MATCH_RETRIES):
             attempts = attempt + 1
             theta = float(rng.child(1000 + attempt).generator().uniform(0.0, 2.0 * math.pi))
             test_results = [
                 learn_direction(
                     math.cos(theta) * basis[:, j] + math.sin(theta) * basis[:, kprime - 1],
-                    consts, stats, slots[kprime + j],
-                    rng.child(2000 + attempt * 64 + j), xi=xi, tau_1d=tau_1d)
+                    consts, inputs, slots[kprime + j], rng.child(2000 + attempt * 64 + j), xi=xi)
                 for j in range(kprime - 1)
             ]
             zhat_dirs = np.array([r.gammas for r in test_results])
             try:
-                matching = match_spikes(alpha_dirs, zhat_dirs, theta, consts, tol=match_tol)
+                matching = match_spikes(alpha_dirs, zhat_dirs, theta, consts)
                 manifest["theta"] = theta
                 break
             except MatchingFailure as exc:
                 last_error = exc
         if matching is None:
-            raise MatchingFailure(f"matching failed after {retries} retries: {last_error}")
+            raise MatchingFailure(f"matching failed after {MATCH_RETRIES} retries: {last_error}")
 
     # assemble constituents: spike t of the last direction anchors point t
     constituents = []

@@ -7,7 +7,7 @@ difference is a signed binomial measure on a rational grid, so its moment
 gaps (the paper's LP value) and its snapshot count gaps are summed exactly in
 integers and rounded once.  ``tv_snapshot_distance`` evaluates the total
 variation between the b-snapshot distributions of any two k-spike
-distributions in closed form and by enumerating {0,1}^b.
+distributions by enumerating {0,1}^b.
 """
 from __future__ import annotations
 
@@ -16,15 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kspike import binom_profile_matrix, vandermonde
+from .kspike import binom_profile_matrix
 from .model import InputError, KSpikeDistribution
 
-__all__ = ["MAX_APERTURE", "HardPair", "hard_pair", "tv_snapshot_distance", "TvReport",
+__all__ = ["MAX_APERTURE", "ENUMERATION_LIMIT", "HardPair", "hard_pair", "tv_snapshot_distance",
            "aperture_indistinguishability", "sample_lower_bound"]
 
 # Up to this aperture lp_bound = 4 * 3^b / rho^(2k-1) is a finite double for all k >= 1,
 # rho >= 2 (2 * 3^646 is not); m shares it, as the exact sums cost O(k m) big-integer steps.
 MAX_APERTURE = 645
+ENUMERATION_LIMIT = 14  # tv_snapshot_distance sums 2^b snapshot probabilities
 
 
 @dataclass(frozen=True)
@@ -109,41 +110,21 @@ def hard_pair(k: int, b: int, rho: float) -> HardPair:
     return pair
 
 
-@dataclass(frozen=True)
-class TvReport:
-    closed_form: float
-    brute_force: float | None
+def tv_snapshot_distance(d1: KSpikeDistribution, d2: KSpikeDistribution, b: int):
+    """Total variation between the aperture-b snapshot distributions, over {0,1}^b.
 
-
-def tv_snapshot_distance(d1: KSpikeDistribution, d2: KSpikeDistribution, b: int,
-                         moment_tol=1e-8, brute_force_limit=14) -> TvReport:
-    """Total variation between the aperture-b snapshot distributions.
-
-    Closed form (valid when the first 2k-2 raw moments agree within
-    ``moment_tol``): half of sum_{l=2k-1}^{b} C(b,l) 2^l |g_l(d1) - g_l(d2)|.
-    This equals the true distance exactly when b = 2k-1 (a single moment term
-    survives) and upper-bounds it otherwise.  For b <= ``brute_force_limit``
-    the exact value over {0,1}^b is enumerated as well.
+    A snapshot with i ones has probability nu_i = sum_j t_j a_j^i (1-a_j)^(b-i)
+    under each distribution; the 2^b terms are summed for b <= ``ENUMERATION_LIMIT``
+    and the result is None beyond it.
     """
-    k = max(d1.k, d2.k)
-    if b < 2 * k - 1:
-        raise InputError("aperture b must be at least 2k-1")
-    g1 = d1.weights @ vandermonde(d1.locations, b + 1)
-    g2 = d2.weights @ vandermonde(d2.locations, b + 1)
-    gap = np.abs(g1 - g2)
-    if gap[: 2 * k - 1].max(initial=0.0) > moment_tol:
-        raise InputError("closed form needs the first 2k-2 raw moments to agree")
-    ell = np.arange(2 * k - 1, b + 1)
-    coeff = np.array([math.comb(b, int(l)) * 2.0 ** int(l) for l in ell])
-    closed = 0.5 * float(np.dot(coeff, gap[2 * k - 1:]))
-
-    brute = None
-    if b <= brute_force_limit:
-        ones = np.array([int(s).bit_count() for s in range(2**b)])
-        nu1 = d1.weights @ binom_profile_matrix(d1.locations, b + 1)
-        nu2 = d2.weights @ binom_profile_matrix(d2.locations, b + 1)
-        brute = 0.5 * float(np.abs(nu1[ones] - nu2[ones]).sum())
-    return TvReport(closed_form=closed, brute_force=brute)
+    if b < 0:
+        raise InputError("aperture must be nonnegative")
+    if b > ENUMERATION_LIMIT:
+        return None
+    ones = np.array([int(s).bit_count() for s in range(2**b)])
+    nu1 = d1.weights @ binom_profile_matrix(d1.locations, b + 1)
+    nu2 = d2.weights @ binom_profile_matrix(d2.locations, b + 1)
+    return 0.5 * float(np.abs(nu1[ones] - nu2[ones]).sum())
 
 
 def aperture_indistinguishability(pair: HardPair, m: int) -> float:

@@ -163,20 +163,6 @@ class KSpikeDistribution:
         loc = np.sort(self.locations)
         return float(np.diff(loc).min())
 
-    def to_json(self):
-        return json.dumps({"weights": self.weights.tolist(), "locations": self.locations.tolist()})
-
-    @classmethod
-    def from_json(cls, text):
-        """Parse a k-spike document; any decode, shape or type fault is an InputError."""
-        try:
-            doc = json.loads(text)
-            weights = np.asarray(doc["weights"], dtype=float)
-            locations = np.asarray(doc["locations"], dtype=float)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise InputError(f"malformed k-spike document: {type(exc).__name__}: {exc}") from exc
-        return cls(weights, locations)
-
 
 @dataclass(frozen=True)
 class TransportPlan:

@@ -1,4 +1,4 @@
-"""Seeded snapshot generation, 1-D projections, and randomized binarization.
+"""Seeded snapshot generation and randomized binarization.
 
 Randomness flows through ``RngStream``, a thin wrapper over a counter-based
 Philox generator: identical (seed, stream) always reproduces the same
@@ -8,7 +8,6 @@ other, so batch generation stays deterministic no matter how work is split.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,12 +19,10 @@ __all__ = [
     "AliasTable",
     "SnapshotBatch",
     "draw_snapshots",
-    "project_snapshot",
     "binarize",
 ]
 
 _MASK64 = (1 << 64) - 1
-_CHUNK = 1 << 16  # elements per chunk of uniforms in AliasTable.sample and binarize
 
 
 def _splitmix64(x):
@@ -79,13 +76,8 @@ class AliasTable:
 
     def sample(self, gen: np.random.Generator, size):
         idx = gen.integers(0, self.accept.size, size=size)
-        flat = idx.reshape(-1)
-        # acceptance uniforms in chunks keep the temporaries small; the
-        # generator yields the same doubles as one call of the full size
-        for lo in range(0, flat.size, _CHUNK):
-            part = flat[lo:lo + _CHUNK]
-            reject = gen.random(part.size) >= self.accept[part]
-            part[reject] = self.alias[part[reject]]
+        reject = gen.random(idx.shape) >= self.accept[idx]
+        idx[reject] = self.alias[idx[reject]]
         return idx
 
 
@@ -113,24 +105,6 @@ class SnapshotBatch:
     def __len__(self):
         return self.rows.shape[0]
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(f"aperture={self.aperture}\n")
-        for row in self.rows:
-            buf.write(",".join(str(int(v)) for v in row))
-            buf.write("\n")
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str, n: int | None = None) -> "SnapshotBatch":
-        lines = [ln for ln in text.strip().splitlines() if ln]
-        if not lines or not lines[0].startswith("aperture="):
-            raise InputError("missing 'aperture=m' header line")
-        m = int(lines[0].split("=", 1)[1])
-        rows = [[int(v) for v in ln.split(",")] for ln in lines[1:]]
-        arr = np.array(rows, dtype=np.int64) if rows else np.zeros((0, m), dtype=np.int64)
-        return cls(aperture=m, rows=arr, n=n)
-
 
 def draw_snapshots(src: MixtureSource, m: int, count: int, rng: RngStream) -> SnapshotBatch:
     """Draw ``count`` m-snapshots: pick a constituent by weight, then m iid items.
@@ -156,22 +130,9 @@ def draw_snapshots(src: MixtureSource, m: int, count: int, rng: RngStream) -> Sn
     return SnapshotBatch(aperture=m, rows=rows, n=src.n)
 
 
-def project_snapshot(row, x):
-    """Replace each item index by its value under x (length preserved)."""
-    row = np.asarray(row, dtype=np.int64)
-    x = np.asarray(x, dtype=float)
-    return x[row]
-
-
 def binarize(values, rng: RngStream):
     """Round values in [0, 1] to bits, each 1 with probability equal to the value."""
     values = np.asarray(values, dtype=float)
     if values.size and (values.min() < 0.0 or values.max() > 1.0):
         raise InputError("binarize expects values in [0, 1]")
-    gen = rng.generator()
-    bits = np.empty(values.shape, dtype=np.int8)
-    flat_v, flat_b = values.reshape(-1), bits.reshape(-1)
-    for lo in range(0, flat_v.size, _CHUNK):
-        chunk = flat_v[lo:lo + _CHUNK]
-        flat_b[lo:lo + _CHUNK] = gen.random(chunk.size) < chunk
-    return bits
+    return (rng.generator().random(values.shape) < values).astype(np.int8)

@@ -1,11 +1,10 @@
 """Spectral scaffolding for the pipeline: the empirical 2-snapshot matrix, the
-thresholded PSD covariance estimate with its retained eigenspace, random
-orthonormal bases of that eigenspace, and projector diagnostics.
+thresholded PSD covariance estimate with its retained eigenspace, and random
+orthonormal bases of that eigenspace.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,6 @@ __all__ = [
     "empirical_M",
     "estimate_A",
     "random_basis",
-    "projector_distance",
 ]
 
 
@@ -40,28 +38,6 @@ class SpectralSubspace:
     @property
     def basis(self):
         return self.eigenvectors[:, : self.kprime]
-
-    def a_matrix(self):
-        """The PSD estimate: retained eigenpairs recombined."""
-        lam = self.eigenvalues[: self.kprime]
-        vecs = self.basis
-        return (vecs * lam) @ vecs.T
-
-    def projector(self):
-        b = self.basis
-        return b @ b.T
-
-    def to_json(self):
-        """Provenance record: threshold, rank, and the retained eigenpairs."""
-        return json.dumps(
-            {
-                "threshold": self.threshold,
-                "kprime": self.kprime,
-                "eigenvalues": self.eigenvalues[: self.kprime].tolist(),
-                "basis": self.basis.tolist(),
-                "rtilde": self.rtilde.tolist(),
-            }
-        )
 
 
 def empirical_M(batch: SnapshotBatch, n: int):
@@ -125,15 +101,3 @@ def random_basis(sub: SpectralSubspace, rng: RngStream):
     mix = gen.standard_normal((sub.kprime, sub.kprime))
     q, r = np.linalg.qr(sub.basis @ mix)
     return q * np.copysign(1.0, np.diag(r))
-
-
-def projector_distance(u, v):
-    """Operator norm of the difference of the two orthogonal projectors."""
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    v = np.atleast_2d(np.asarray(v, dtype=float))
-    if u.shape[0] == 1 and u.shape[1] > 1:
-        u = u.T
-    if v.shape[0] == 1 and v.shape[1] > 1:
-        v = v.T
-    diff = u @ u.T - v @ v.T
-    return float(np.abs(np.linalg.eigvalsh(diff)).max(initial=0.0))

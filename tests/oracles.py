@@ -2,7 +2,10 @@
 
 Each oracle takes a route independent of the library code it checks
 (enumeration, an LP, exact integers, one row at a time) and is only usable
-at the small sizes the tests give it.
+at the small sizes the tests give it.  The helpers at the end (moments of a
+spike distribution, projections, the analytic refined source) are what the
+tests build their inputs and expectations from; no run of the library reads
+them.
 """
 
 import math
@@ -12,9 +15,16 @@ from itertools import combinations
 
 import numpy as np
 
-from mixlearn.kspike import pascal_pair
+from mixlearn.kspike import (
+    MomentVector,
+    binom_profile_matrix,
+    empirical_nbm,
+    learn_kspike_from_nbm,
+    pascal_pair,
+    vandermonde,
+)
 from mixlearn.lp import LpInfeasible, LpSolution, _canonical, solve_lp
-from mixlearn.model import InputError
+from mixlearn.model import InputError, KSpikeDistribution, MixtureSource
 
 
 def _independent_rows(a, b, tol=1e-11):
@@ -238,3 +248,59 @@ def project_distribution(p, x) -> ProjectedDistribution:
     values, inverse = np.unique(x, return_inverse=True)
     masses = np.bincount(inverse, weights=p, minlength=values.size)
     return ProjectedDistribution(values=values, masses=masses)
+
+
+def moments_of(d: KSpikeDistribution, count: int | None = None) -> MomentVector:
+    """Raw moments g_i for i = 0..count-1 (count defaults to 2k)."""
+    count = 2 * d.k if count is None else count
+    g = d.weights @ vandermonde(d.locations, count)
+    return MomentVector(kind="raw", values=g, k=count // 2)
+
+
+def nbm_of(d: KSpikeDistribution) -> MomentVector:
+    """NBMs at aperture 2k-1: nu_i = sum_j t_j a_j^i (1-a_j)^(2k-1-i)."""
+    nu = d.weights @ binom_profile_matrix(d.locations, 2 * d.k)
+    return MomentVector(kind="nbm", values=nu, k=d.k)
+
+
+def learn_kspike(bit_snapshots, cfg) -> KSpikeDistribution:
+    """Learn a k-spike distribution from (2k-1)-bit snapshots."""
+    return learn_kspike_from_nbm(empirical_nbm(bit_snapshots, cfg.k), cfg)
+
+
+def project_snapshot(row, x):
+    """Replace each item index by its value under x (length preserved)."""
+    return np.asarray(x, dtype=float)[np.asarray(row, dtype=np.int64)]
+
+
+def projector_distance(u, v):
+    """Operator norm of the difference of the two orthogonal projectors."""
+    u = np.atleast_2d(np.asarray(u, dtype=float))
+    v = np.atleast_2d(np.asarray(v, dtype=float))
+    if u.shape[0] == 1 and u.shape[1] > 1:
+        u = u.T
+    if v.shape[0] == 1 and v.shape[1] > 1:
+        v = v.T
+    diff = u @ u.T - v @ v.T
+    return float(np.abs(np.linalg.eigvalsh(diff)).max(initial=0.0))
+
+
+def refine_source(src: MixtureSource, item_map) -> MixtureSource:
+    """The analytic refined source: restrict to kept items, renormalize, split.
+
+    This is the distribution that mapped snapshots follow conditionally on
+    survival (per constituent).
+    """
+    if src.n != item_map.n:
+        raise InputError("source domain does not match the item map")
+    keep = ~item_map.eliminated
+    owner = item_map.copy_owner()
+    rows = []
+    for t in range(src.k):
+        p = src.constituents[t]
+        kept_mass = p[keep].sum()
+        if kept_mass <= 0:
+            raise InputError("a constituent has no mass on kept items")
+        per_copy = np.where(keep, p / np.maximum(item_map.splits, 1), 0.0) / kept_mass
+        rows.append(per_copy[owner])
+    return MixtureSource(src.weights.copy(), np.array(rows))

@@ -15,10 +15,7 @@ from mixlearn.cli import ExperimentConfig, generate_source
 from mixlearn.kspike import (
     KSpikeConfig,
     empirical_nbm,
-    learn_kspike,
     learn_kspike_from_nbm,
-    moments_of,
-    nbm_of,
     pascal_pair,
     solve_lambda,
     solve_weights,
@@ -39,9 +36,16 @@ from mixlearn.model import (
     spike_transport,
     width_report,
 )
-from mixlearn.sampling import RngStream, binarize, draw_snapshots, project_snapshot
+from mixlearn.sampling import RngStream, binarize, draw_snapshots
 
-from oracles import brute_force_lp, simplex_project_l1_lp
+from oracles import (
+    brute_force_lp,
+    learn_kspike,
+    moments_of,
+    nbm_of,
+    project_snapshot,
+    simplex_project_l1_lp,
+)
 from test_kspike import active_set_weights_oracle
 
 
@@ -239,7 +243,8 @@ def test_criterion_09_hard_pair_grid():
 
 
 def test_criterion_10_tv_closed_form_vs_enumeration():
-    gate = _Gate(10, "closed-form TV equals enumeration on 100 hard pairs (b = 2k-1 <= 11)", 60.0)
+    gate = _Gate(10, "closed-form TV lp_value / 2 equals enumeration on 100 hard pairs "
+                     "(b = 2k-1 <= 11)", 60.0)
     gen = np.random.default_rng(1010)
     worst = 0.0
     for _ in range(100):
@@ -247,8 +252,8 @@ def test_criterion_10_tv_closed_form_vs_enumeration():
         rho = float(gen.uniform(2.0, 6.0))
         b = 2 * k - 1
         pair = hard_pair(k, b, rho)
-        tv = tv_snapshot_distance(pair.first, pair.second, b)
-        worst = max(worst, abs(tv.closed_form - tv.brute_force))
+        brute = tv_snapshot_distance(pair.first, pair.second, b)
+        worst = max(worst, abs(pair.lp_value / 2 - brute))
     gate.finish(worst <= 1e-10, f"worst |closed - brute| {worst:.2e}")
 
 

@@ -160,6 +160,7 @@ class TestLearnCommand:
                                samples_hi=50000, zeta=0.5, delta=1e-8, **overrides)
         report, _ = run_learn(cfg, model)
         assert report["manifest"]["statistics"] == statistics
+        assert report["manifest"]["mode"] == ("oracle" if statistics == "exact" else "sampled")
 
     def test_poisson_mode_runs(self, tmp_path, capsys):
         model = self._model(tmp_path)
@@ -190,6 +191,41 @@ class TestLearnCommand:
         row = report["row"]
         assert [row["N1"], row["N2"], row["Nhi"]] == drawn
         assert drawn != [20000, 20000, 20000]
+
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["zeta", "omega", "delta", "varsigma", "wmin", "eps", "sigma"])
+    def test_nonfinite_float_exits_3(self, tmp_path, capsys, name, value, route):
+        model = tmp_path / "model.json"
+        model.write_text(MixtureSource(np.ones(1), np.full((1, 4), 0.25)).to_json())
+        argv = ["learn", "--model", str(model)]
+        if route == "flag":
+            argv.append(f"--{name}={value}")
+        else:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({name: float(value)}))  # NaN, Infinity, -Infinity
+            argv += ["--config", str(cfg_path)]
+        assert main(argv) == EXIT_CONFIG
+        assert f"{name} must be finite" in capsys.readouterr().err
+
+    def test_isotropize_default_sigma_too_fine_exits_3(self, tmp_path, capsys):
+        # the default sigma splits n = 20 items into about 25600 copies, whose
+        # dense 2-snapshot matrix would be a 5.2 GB bincount
+        from mixlearn.isotropize import build_refinement, default_sigma, estimate_r
+        from mixlearn.sampling import RngStream, draw_snapshots
+
+        model = self._model(tmp_path, n=20, k=2, zeta=0.5, seed=3)
+        src = MixtureSource.from_json(model.read_text())
+        cfg = ExperimentConfig(n=20, k=2, seed=2, samples1=2000)
+        sigma = default_sigma(cfg.eps, cfg.zeta, cfg.k, src.w_min)
+        batch1 = draw_snapshots(src, 1, cfg.samples1, RngStream(cfg.seed).child(11))
+        nprime = build_refinement(estimate_r(batch1, src.n), sigma).nprime
+        assert nprime > 4096
+        rc = main(["learn", "--model", str(model), "--seed", "2", "--samples1", "2000",
+                   "--samples2", "2000", "--samples-hi", "2000", "--isotropize"])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"sigma={sigma!r}" in err and f"nprime={nprime}" in err and "--sigma" in err
 
     def test_isotropize_path_runs(self, tmp_path):
         model = self._model(tmp_path, n=8, k=2, zeta=0.5, seed=11)

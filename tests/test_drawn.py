@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from mixlearn.cli import ExperimentConfig, generate_source, run_learn
 from mixlearn.isotropize import estimate_r
 from mixlearn.kspike import empirical_nbm
-from mixlearn.learner import DrawnInputs, _DrawnStats, _OracleStats
+from mixlearn.learner import DrawnInputs, OracleInputs
 from mixlearn.model import InputError, LearningFailure, MixtureSource, mixture_transport, width_report
 from mixlearn.sampling import RngStream, binarize, draw_snapshots
 from mixlearn.spectral import empirical_M
@@ -46,7 +46,7 @@ def _unordered(m):
 
 def cell_probabilities(src):
     """Exact cell probabilities of the three statistics."""
-    nu, _ = _OracleStats(src).direction_nbm(None, POINT_VALUES, K, None)
+    nu, _ = OracleInputs(src).direction_nbm(None, POINT_VALUES, K, None)
     return {
         "items": src.mean(),
         "pairs": _unordered(src.second_moment_matrix()),
@@ -56,7 +56,7 @@ def cell_probabilities(src):
 
 def drawn_counts(seed):
     rng = RngStream(seed)
-    stats = _DrawnStats(DrawnInputs(SOURCE, SAMPLES, SAMPLES, SAMPLES, rng.child(0)))
+    stats = DrawnInputs(SOURCE, SAMPLES, SAMPLES, SAMPLES, rng.child(0))
     nu, _ = stats.direction_nbm(SAMPLES, POINT_VALUES, K, rng.child(1))
     return {
         "items": stats.mean_distribution() * SAMPLES,
@@ -117,7 +117,7 @@ def test_chi_square_rejects_a_wrong_law(draws, statistic):
 
 def test_each_direction_call_draws_a_fresh_histogram():
     rng = RngStream(3)
-    stats = _DrawnStats(DrawnInputs(SOURCE, SAMPLES, SAMPLES, SAMPLES, rng.child(0)))
+    stats = DrawnInputs(SOURCE, SAMPLES, SAMPLES, SAMPLES, rng.child(0))
     a, _ = stats.direction_nbm(SAMPLES, POINT_VALUES, K, rng.child(1))
     b, _ = stats.direction_nbm(SAMPLES, POINT_VALUES, K, rng.child(2))
     again, _ = stats.direction_nbm(SAMPLES, POINT_VALUES, K, rng.child(1))
@@ -127,7 +127,7 @@ def test_each_direction_call_draws_a_fresh_histogram():
 
 @pytest.mark.parametrize("total", [0, 1, 4, 5, 10**12 + 3])
 def test_slots_split_like_rows(total):
-    stats = _DrawnStats(DrawnInputs(SOURCE, 1, 1, total, RngStream(0)))
+    stats = DrawnInputs(SOURCE, 1, 1, total, RngStream(0))
     slots = stats.allocate(5)
     assert sum(slots) == total
     if total <= 5:
@@ -136,7 +136,7 @@ def test_slots_split_like_rows(total):
 
 
 def test_empty_statistics_are_typed_errors():
-    stats = _DrawnStats(DrawnInputs(SOURCE, 0, 0, 0, RngStream(0)))
+    stats = DrawnInputs(SOURCE, 0, 0, 0, RngStream(0))
     with pytest.raises(InputError):
         stats.mean_distribution()
     with pytest.raises(InputError):

@@ -10,13 +10,12 @@ from mixlearn.isotropize import (
     estimate_r,
     map_batch,
     pull_back,
-    refine_source,
 )
 from mixlearn.model import InputError, MixtureSource, mixture_transport
 from mixlearn.sampling import RngStream, SnapshotBatch, draw_snapshots
 
 from conftest import two_block_source
-from oracles import map_snapshot
+from oracles import map_snapshot, refine_source
 
 
 def batch1(items):
@@ -173,9 +172,3 @@ class TestRefinedIsotropy:
 
     def test_default_sigma_formula(self):
         assert default_sigma(0.1, 0.5, 2, 0.4) == pytest.approx(0.1 * 0.25 / (32 * 2 * 0.4))
-
-
-def test_item_map_json():
-    m = build_refinement(np.array([0.5, 0.5]), sigma=0.25)
-    doc = m.to_json()
-    assert '"sigma": 0.25' in doc and '"nprime"' in doc

@@ -9,10 +9,7 @@ from mixlearn.kspike import (
     MomentVector,
     binom_profile_matrix,
     empirical_nbm,
-    learn_kspike,
     learn_kspike_from_nbm,
-    moments_of,
-    nbm_of,
     nbm_to_moments,
     pascal_pair,
     polynomial_roots,
@@ -25,6 +22,7 @@ from mixlearn.model import InputError, KSpikeDistribution, LearningFailure, spik
 from mixlearn.sampling import RngStream
 
 from conftest import random_spikes
+from oracles import learn_kspike, moments_of, nbm_of
 
 
 def spikes(w, a):

@@ -144,7 +144,7 @@ class TestMatchSpikes:
         alpha = np.array([[0.5, 0.5 + 1e-12], [0.1, 0.9]])
         zhat = np.array([[0.5, 0.5]])
         with pytest.raises(MatchingFailure):
-            match_spikes(alpha, zhat, 0.0, consts, tol=0.2)
+            match_spikes(alpha, zhat, 0.0, consts)
 
 
 class TestSimplexProjectL1:
@@ -220,7 +220,7 @@ class TestLearnMixture:
     def test_sampled_direction_accuracy_monte_carlo(self):
         # n=50, k=2: learned direction projections track v.p^t across seeds
         from mixlearn.cli import ExperimentConfig, generate_source
-        from mixlearn.learner import LearnerConstants, _SampledStats, learn_direction
+        from mixlearn.learner import LearnerConstants, learn_direction
 
         src = generate_source(ExperimentConfig(n=50, k=2, seed=21, zeta=0.5))
         rep = width_report(src)
@@ -233,8 +233,8 @@ class TestLearnMixture:
         for seed in range(10):
             rng = RngStream(9_000 + seed)
             batch = draw_snapshots(src, 3, 200000, rng.child(1))
-            stats = _SampledStats(SampledInputs(batch, batch, batch, n=50))
-            res = learn_direction(v, consts, stats, batch.rows, rng.child(2))
+            inputs = SampledInputs(batch, batch, batch, n=50)
+            res = learn_direction(v, consts, inputs, batch.rows, rng.child(2))
             errors.append(np.abs(np.sort(res.gammas) - true_projs).max())
         assert np.median(errors) < 0.01
         assert np.quantile(errors, 0.9) < 0.05
@@ -259,24 +259,33 @@ class TestLearnMixture:
     def test_oracle_k1_direction_learns_the_mean_projection(self):
         # single-constituent source: the 1-D learner recovers v . p exactly
         from mixlearn.learner import LearnerConstants, learn_direction
-        from mixlearn.learner import _OracleStats
 
         p = np.full(8, 1.0 / 8)
         src = MixtureSource(np.ones(1), p[None, :])
         consts = LearnerConstants(n=8, k=1, zeta=0.5, omega=2.0, delta=1e-8, w_min=1.0)
         v = np.zeros(8)
         v[0] = 1.0
-        res = learn_direction(v, consts, _OracleStats(src), None, RngStream(4))
+        res = learn_direction(v, consts, OracleInputs(src), None, RngStream(4))
         assert res.gammas[0] == pytest.approx(float(v @ p), abs=1e-8)
 
-    def test_matching_failure_raises_after_retries(self):
+    def test_matching_failure_raises_after_retries(self, monkeypatch):
+        from mixlearn import learner
         from mixlearn.cli import ExperimentConfig, generate_source
 
+        calls = []
+
+        def never_matches(*args):
+            calls.append(args[2])  # the test angle
+            raise MatchingFailure("forced")
+
+        monkeypatch.setattr(learner, "match_spikes", never_matches)
         src = generate_source(ExperimentConfig(n=30, k=3, seed=5, zeta=0.2))
         rep = width_report(src)
-        with pytest.raises(MatchingFailure):
+        with pytest.raises(MatchingFailure, match="after 8 retries: forced"):
             learn_mixture(OracleInputs(src), k=3, zeta=rep.zeta, omega=4.0, delta=1e-8,
-                          w_min=src.w_min, rng=RngStream(12), match_tol=1e-15, retries=2)
+                          w_min=src.w_min, rng=RngStream(12))
+        assert len(calls) == learner.MATCH_RETRIES == 8
+        assert len(set(calls)) == 8  # each retry draws a fresh angle
 
     def test_degenerate_parameters_rejected(self):
         from mixlearn.model import InputError

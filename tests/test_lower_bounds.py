@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixlearn.kspike import moments_of
 from mixlearn.lower_bounds import (
+    ENUMERATION_LIMIT,
     MAX_APERTURE,
     aperture_indistinguishability,
     hard_pair,
@@ -17,7 +17,7 @@ from mixlearn.lower_bounds import (
 )
 from mixlearn.model import InputError, KSpikeDistribution, spike_transport
 
-from oracles import hard_pair_exact, pascal_inverse_identity_exact
+from oracles import hard_pair_exact, moments_of, pascal_inverse_identity_exact
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -92,37 +92,29 @@ class TestHardPair:
 class TestTvSnapshotDistance:
     def test_identical_distributions(self):
         d = KSpikeDistribution(np.array([0.4, 0.6]), np.array([0.1, 0.6]))
-        tv = tv_snapshot_distance(d, d, b=3)
-        assert tv.closed_form == pytest.approx(0.0, abs=1e-12)
-        assert tv.brute_force == pytest.approx(0.0, abs=1e-12)
+        assert tv_snapshot_distance(d, d, b=3) == pytest.approx(0.0, abs=1e-12)
 
     def test_k1_half_spike(self):
         a = KSpikeDistribution(np.array([1.0]), np.array([0.0]))
         b = KSpikeDistribution(np.array([1.0]), np.array([0.5]))
-        tv = tv_snapshot_distance(a, b, b=1)
-        assert tv.closed_form == pytest.approx(0.5, abs=1e-12)
-        assert tv.brute_force == pytest.approx(0.5, abs=1e-12)
+        assert tv_snapshot_distance(a, b, b=1) == pytest.approx(0.5, abs=1e-12)
 
     def test_hard_pair_closed_form_equals_enumeration_at_minimal_aperture(self):
+        # the closed form half of sum_{l >= 2k-1} C(b,l) 2^l |g_l gap| is lp_value / 2
         pair = hard_pair(2, 3, 2.0)
-        tv = tv_snapshot_distance(pair.first, pair.second, b=3)
-        assert tv.closed_form == pytest.approx(tv.brute_force, abs=1e-10)
+        brute = tv_snapshot_distance(pair.first, pair.second, b=3)
+        assert pair.lp_value / 2 == pytest.approx(brute, abs=1e-10)
 
     def test_closed_form_upper_bounds_enumeration_above_minimal_aperture(self):
         pair = hard_pair(2, 6, 2.0)
-        tv = tv_snapshot_distance(pair.first, pair.second, b=6)
-        assert tv.closed_form >= tv.brute_force - 1e-12
-
-    def test_moment_mismatch_rejected(self):
-        a = KSpikeDistribution(np.array([1.0]), np.array([0.2]))
-        b = KSpikeDistribution(np.array([0.5, 0.5]), np.array([0.1, 0.9]))
-        with pytest.raises(InputError):
-            tv_snapshot_distance(a, b, b=3)
+        assert pair.lp_value / 2 >= tv_snapshot_distance(pair.first, pair.second, b=6) - 1e-12
 
     def test_no_enumeration_beyond_limit(self):
-        pair = hard_pair(2, 3, 2.0)
-        tv = tv_snapshot_distance(pair.first, pair.second, b=3, brute_force_limit=2)
-        assert tv.brute_force is None
+        pair = hard_pair(8, 15, 2.0)
+        assert tv_snapshot_distance(pair.first, pair.second, b=ENUMERATION_LIMIT) is not None
+        assert tv_snapshot_distance(pair.first, pair.second, b=ENUMERATION_LIMIT + 1) is None
+        with pytest.raises(InputError):
+            tv_snapshot_distance(pair.first, pair.second, b=-1)
 
 
 class TestApertureIndistinguishability:
@@ -146,7 +138,7 @@ class TestApertureIndistinguishability:
     def test_matches_enumeration_above_threshold(self):
         pair = hard_pair(2, 3, 2.0)
         for m in (4, 6, 9):
-            brute = tv_snapshot_distance(pair.first, pair.second, m).brute_force
+            brute = tv_snapshot_distance(pair.first, pair.second, m)
             assert aperture_indistinguishability(pair, m) == pytest.approx(brute, abs=1e-13)
 
     def test_aperture_limit(self):

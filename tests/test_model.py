@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from mixlearn.kspike import moments_of
 from mixlearn.model import (
     InputError,
     KSpikeDistribution,
@@ -16,7 +15,7 @@ from mixlearn.model import (
 )
 
 from conftest import random_spikes, two_block_source
-from oracles import brute_force_lp
+from oracles import brute_force_lp, moments_of
 
 
 def cdf_transport_1d(d1, d2):
@@ -146,12 +145,6 @@ class TestSerialization:
         doc = json.loads(src.to_json())
         assert doc["n"] == 7 and doc["k"] == 3
 
-    def test_spike_roundtrip_bitstable(self, rng):
-        d = random_spikes(rng, 4)
-        again = KSpikeDistribution.from_json(d.to_json())
-        assert np.array_equal(again.weights, d.weights)
-        assert np.array_equal(again.locations, d.locations)
-
     def test_invalid_documents_rejected(self):
         with pytest.raises(InputError):
             MixtureSource(np.array([0.5, 0.6]), np.full((2, 2), 0.5))
@@ -164,18 +157,6 @@ class TestSerialization:
     def test_spike_rejects_nonfinite_locations(self, locations):
         with pytest.raises(InputError):
             KSpikeDistribution(np.array([0.5, 0.5]), np.array(locations))
-
-    @pytest.mark.parametrize("text", [
-        '{"weights": [0.5, 0.5], "locations": [NaN, 0.3]}',
-        '{"weights": [0.5, 0.5], "locations": [0.1, 0.3]',
-        '{"weights": [1.0]}',
-        '[0.5, 0.5]',
-        '{"weights": [1.0], "locations": ["x"]}',
-    ])
-    def test_malformed_spike_document_is_input_error(self, text):
-        with pytest.raises(InputError):
-            KSpikeDistribution.from_json(text)
-
 
 def _transport_eq(k, l):
     a_eq = np.zeros((k + l, k * l))

@@ -3,19 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixlearn.kspike import empirical_nbm, nbm_of
+from mixlearn.kspike import empirical_nbm
 from mixlearn.model import InputError, KSpikeDistribution, MixtureSource
 from mixlearn.sampling import (
     AliasTable,
     RngStream,
-    SnapshotBatch,
     binarize,
     draw_snapshots,
-    project_snapshot,
 )
 
 from conftest import two_block_source
-from oracles import project_distribution
+from oracles import nbm_of, project_distribution, project_snapshot
 
 
 class TestRngStream:
@@ -155,17 +153,3 @@ class TestBinarize:
         biases = src.constituents @ x
         exact = nbm_of(KSpikeDistribution(src.weights.copy(), biases))
         assert np.abs(nu_hat.values - exact.values).max() < 0.01
-
-
-class TestCsv:
-    def test_roundtrip(self):
-        batch = SnapshotBatch(aperture=2, rows=np.array([[0, 1], [2, 2]]), n=3)
-        text = batch.to_csv()
-        assert text.splitlines()[0] == "aperture=2"
-        again = SnapshotBatch.from_csv(text, n=3)
-        assert again.aperture == 2
-        assert np.array_equal(again.rows, batch.rows)
-
-    def test_missing_header_rejected(self):
-        with pytest.raises(InputError):
-            SnapshotBatch.from_csv("0,1\n")
