@@ -15,6 +15,7 @@ from mixlearn.cli import (
     EXIT_IO,
     EXIT_LEARNING,
     EXIT_OK,
+    MAX_NPRIME,
     ExperimentConfig,
     generate_source,
     main,
@@ -220,7 +221,7 @@ class TestLearnCommand:
         sigma = default_sigma(cfg.eps, cfg.zeta, cfg.k, src.w_min)
         batch1 = draw_snapshots(src, 1, cfg.samples1, RngStream(cfg.seed).child(11))
         nprime = build_refinement(estimate_r(batch1, src.n), sigma).nprime
-        assert nprime > 4096
+        assert nprime > MAX_NPRIME
         rc = main(["learn", "--model", str(model), "--seed", "2", "--samples1", "2000",
                    "--samples2", "2000", "--samples-hi", "2000", "--isotropize"])
         assert rc == EXIT_CONFIG
