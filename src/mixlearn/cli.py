@@ -274,7 +274,7 @@ def run_learn(cfg: ExperimentConfig, model: MixtureSource):
         "degenerate": result.degenerate,
         "attempts": result.attempts,
         "survival": survival,
-        "model": json.loads(learned.to_json()),
+        "model": learned.as_dict(),
     }
     return report, learned
 

@@ -4,6 +4,8 @@ Pipeline: empirical normalized binomial moments (NBMs) of (2k-1)-bit
 snapshots -> raw moments via the Pascal matrix -> annihilating polynomial by
 an l1-regularized LP -> spike locations as (clamped real parts of) its roots
 -> spike weights by simplex-constrained least squares against the moments.
+The locations and the weights are two stages (``learn_spike_locations`` and
+``fit_spike_weights``), so a caller that reads only locations skips the fit.
 
 Moment conventions, for a spike distribution (weights t, locations a):
 
@@ -15,6 +17,7 @@ and g = nu @ Pas where Pas is the lower-triangular binomial matrix below.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -37,6 +40,8 @@ __all__ = [
     "solve_lambda",
     "polynomial_roots",
     "solve_weights",
+    "learn_spike_locations",
+    "fit_spike_weights",
     "learn_kspike_from_nbm",
     "vandermonde",
     "binom_profile_matrix",
@@ -94,6 +99,14 @@ def pascal_pair(b: int) -> PascalPair:
     return PascalPair(b=b, pas=pas, inv=inv)
 
 
+@functools.lru_cache(maxsize=None)
+def _pascal_float(b: int) -> np.ndarray:
+    """``pascal_pair(b).pas`` as a read-only float matrix, built once per size."""
+    pas = pascal_pair(b).pas.astype(float)
+    pas.setflags(write=False)
+    return pas
+
+
 def vandermonde(locations, b: int):
     """V_b: row i holds powers locations[i]^j for j = 0..b-1."""
     loc = np.asarray(locations, dtype=float)
@@ -128,8 +141,7 @@ def nbm_to_moments(nu: MomentVector) -> MomentVector:
     """g = nu @ Pas."""
     if nu.kind != "nbm":
         raise InputError("expected an NBM vector")
-    pas = pascal_pair(2 * nu.k).pas.astype(float)
-    return MomentVector(kind="raw", values=nu.values @ pas, k=nu.k)
+    return MomentVector(kind="raw", values=nu.values @ _pascal_float(2 * nu.k), k=nu.k)
 
 
 @dataclass(frozen=True)
@@ -354,21 +366,34 @@ def _polish_support(y, v, g, floor=1e-12):
     return full / total
 
 
-def learn_kspike_from_nbm(nu: MomentVector, cfg: KSpikeConfig) -> KSpikeDistribution:
-    """Run the moment pipeline on an NBM vector (exact or empirical)."""
+def learn_spike_locations(nu: MomentVector, cfg: KSpikeConfig):
+    """The locations stage of the 1-D learner: (raw moments, sorted spike locations).
+
+    NBMs -> raw moments -> annihilator LP -> clamped roots.  The weights are
+    a separate stage (``fit_spike_weights``), run only where they are read.
+    """
     if nu.k != cfg.k:
         raise InputError("config and moment vector disagree on k")
     g = nbm_to_moments(nu)
     if abs(g.values[0] - 1.0) > 0.1:
         raise InputError("corrupt statistics: zeroth moment deviates from 1 by > 0.1")
     lam = solve_lambda(g.values, cfg.xi, cfg.k)
-    locations = polynomial_roots(lam, cfg.eps_root)
+    return g, polynomial_roots(lam, cfg.eps_root)
+
+
+def fit_spike_weights(locations, g: MomentVector) -> KSpikeDistribution:
+    """The weights stage: fit simplex weights at ``locations`` to the raw moments ``g``."""
     weights = solve_weights(locations, g.values)
     weights = weights / weights.sum()
     if logger.isEnabledFor(logging.DEBUG):
         # fit residual; the sensitivity analysis bounds it but the constant
         # is too loose to assert per call
-        residual = np.linalg.norm(weights @ vandermonde(locations, 2 * cfg.k) - g.values)
-        logger.debug("k-spike fit residual ||y V - g|| = %.3e (eps_root %.3e)",
-                     residual, cfg.eps_root)
+        residual = np.linalg.norm(weights @ vandermonde(locations, 2 * g.k) - g.values)
+        logger.debug("k-spike fit residual ||y V - g|| = %.3e", residual)
     return KSpikeDistribution(weights=weights, locations=locations)
+
+
+def learn_kspike_from_nbm(nu: MomentVector, cfg: KSpikeConfig) -> KSpikeDistribution:
+    """Run the moment pipeline on an NBM vector (exact or empirical): both stages."""
+    g, locations = learn_spike_locations(nu, cfg)
+    return fit_spike_weights(locations, g)

@@ -4,7 +4,9 @@ Stages: estimate the mean distribution and the 2-snapshot matrix, extract the
 thresholded covariance eigenspace, learn the 1-D projection of the mixture on
 a random orthonormal basis of that space (and on rotated test directions),
 reconcile the per-direction spikes into k points, and project each point onto
-the simplex in l1.  Each direction is first flattened by the direction
+the simplex in l1.  Matching reads only spike locations, so a direction's
+spike weights are fitted only for the basis directions, once matching has
+succeeded.  Each direction is first flattened by the direction
 program (least l-inf norm at a given overlap with the direction), which
 ``solve_direction_program`` solves exactly in closed form.
 
@@ -47,10 +49,12 @@ from .kspike import (
     MomentVector,
     binom_profile_matrix,
     empirical_nbm,
-    learn_kspike_from_nbm,
+    fit_spike_weights,
+    learn_kspike_from_nbm,  # not called here; perfbench/tracing.py patches this name
+    learn_spike_locations,
     xi_for_sample_count,
 )
-from .model import InputError, KSpikeDistribution, LearningFailure, MixtureSource
+from .model import InputError, LearningFailure, MixtureSource, check_locations
 from .sampling import RngStream, SnapshotBatch, binarize
 from .spectral import empirical_M, estimate_A, random_basis
 from .isotropize import estimate_r
@@ -144,30 +148,30 @@ class MatchingFailure(LearningFailure):
 
 @dataclass(frozen=True)
 class DirectionResult:
-    """Outcome of learning the mixture's projection on one direction.
+    """Spike locations of the mixture's projection on one direction.
 
-    ``spikes`` lives in the learner's [0, 1] frame; the projections of the
+    ``locations`` lives in the learner's [0, 1] frame; the projections of the
     constituents on the direction are recovered affinely as
-    ``scale * location + offset`` (see ``gammas``).
+    ``scale * location + offset`` (see ``gammas``).  ``moments`` are the raw
+    moments the locations were learned from, which ``fit_spike_weights``
+    fits the weights to.
     """
 
     direction: np.ndarray
     a: np.ndarray
-    spikes: KSpikeDistribution
+    moments: MomentVector
+    locations: np.ndarray
     scale: float
     offset: float
 
     def __post_init__(self):
         if abs(np.linalg.norm(self.a) - 1.0) > 1e-10:
             raise InputError("direction program output must be a unit vector")
+        object.__setattr__(self, "locations", check_locations(self.locations))
 
     @property
     def gammas(self):
-        return self.scale * self.spikes.locations + self.offset
-
-    @property
-    def weights(self):
-        return self.spikes.weights
+        return self.scale * self.locations + self.offset
 
 
 @dataclass(frozen=True)
@@ -349,13 +353,14 @@ class SampledInputs:
 
 def learn_direction(v, consts: LearnerConstants, inputs, slot, rng: RngStream,
                     xi=None) -> DirectionResult:
-    """Learn the k-spike distribution of the mixture projected on ``v``.
+    """Learn the spike locations of the mixture projected on ``v``.
 
     Items are mapped to a/(2h) shifted by 1/2 into [0, 1], snapshots are
-    binarized, the 1-D learner runs, and locations are rescaled by
-    2h (a.v) around the shift point.  The scale uses the tight bound
-    h = ||a||_inf rather than the worst-case constant H (same [- 1/2, 1/2]
-    support contract, far better resolution of the projected spikes).
+    binarized, the locations stage of the 1-D learner runs, and locations
+    are rescaled by 2h (a.v) around the shift point.  The scale uses the
+    tight bound h = ||a||_inf rather than the worst-case constant H (same
+    [- 1/2, 1/2] support contract, far better resolution of the projected
+    spikes).
     """
     a = solve_direction_program(v, consts.delta, consts.zeta)
     h = max(float(np.abs(a).max()), 1e-12)
@@ -364,10 +369,10 @@ def learn_direction(v, consts: LearnerConstants, inputs, slot, rng: RngStream,
     if xi is None:
         xi = 1e-12 if n_samples is None else xi_for_sample_count(consts.k, n_samples)
     cfg = KSpikeConfig.consistent(consts.k, consts.L / (4.0 * h), xi)
-    spikes = learn_kspike_from_nbm(nu, cfg)
+    moments, locations = learn_spike_locations(nu, cfg)
     scale = 2.0 * h * float(np.dot(a, v))
-    return DirectionResult(direction=np.asarray(v, dtype=float), a=a, spikes=spikes,
-                           scale=scale, offset=-0.5 * scale)
+    return DirectionResult(direction=np.asarray(v, dtype=float), a=a, moments=moments,
+                           locations=locations, scale=scale, offset=-0.5 * scale)
 
 
 def _min_gap(values):
@@ -456,7 +461,6 @@ class LearnResult:
     kprime: int
     degenerate: bool
     attempts: int
-    directions: tuple
     manifest: dict = field(default_factory=dict)
 
 
@@ -496,7 +500,7 @@ def learn_mixture(inputs, k, zeta, omega, delta, w_min, rng: RngStream, xi=None)
         rt = rt / rt.sum()
         src = MixtureSource(np.full(k, 1.0 / k), np.tile(rt, (k, 1)))
         return LearnResult(source=src, kprime=0, degenerate=True, attempts=0,
-                           directions=(), manifest=manifest)
+                           manifest=manifest)
 
     basis = random_basis(sub, rng.child(1))
     n_slots = 2 * kprime - 1
@@ -507,10 +511,8 @@ def learn_mixture(inputs, k, zeta, omega, delta, w_min, rng: RngStream, xi=None)
         for j in range(kprime)
     ]
     alpha_dirs = np.array([r.gammas for r in base_results])
-    weight_dirs = np.array([r.weights for r in base_results])
 
     attempts = 0
-    test_results = []
     if kprime == 1:
         matching = Matching(assignments=np.zeros((0, k), dtype=int))
     else:
@@ -535,7 +537,10 @@ def learn_mixture(inputs, k, zeta, omega, delta, w_min, rng: RngStream, xi=None)
         if matching is None:
             raise MatchingFailure(f"matching failed after {MATCH_RETRIES} retries: {last_error}")
 
-    # assemble constituents: spike t of the last direction anchors point t
+    # assemble constituents: spike t of the last direction anchors point t;
+    # only the basis directions' weights are read, so only they are fitted
+    weight_dirs = np.array([fit_spike_weights(r.locations, r.moments).weights
+                            for r in base_results])
     constituents = []
     weights = np.zeros(k)
     proj_r = basis.T @ rtilde
@@ -550,4 +555,4 @@ def learn_mixture(inputs, k, zeta, omega, delta, w_min, rng: RngStream, xi=None)
     rows = np.array([c / c.sum() for c in constituents])
     source = MixtureSource(weights, rows)
     return LearnResult(source=source, kprime=kprime, degenerate=False, attempts=attempts,
-                       directions=tuple(base_results + list(test_results)), manifest=manifest)
+                       manifest=manifest)

@@ -22,6 +22,7 @@ __all__ = [
     "LearningFailure",
     "MixtureSource",
     "KSpikeDistribution",
+    "check_locations",
     "WidthReport",
     "TransportPlan",
     "transport_distance",
@@ -62,6 +63,16 @@ def _freeze(arr):
     arr = np.array(arr, dtype=float)
     arr.setflags(write=False)
     return arr
+
+
+def check_locations(loc):
+    """Spike locations as a read-only array, checked finite and in [0, 1]."""
+    loc = np.asarray(loc, dtype=float)
+    if not np.isfinite(loc).all():
+        raise InputError("locations has non-finite entries")
+    if loc.min() < -WEIGHT_TOL or loc.max() > 1.0 + WEIGHT_TOL:
+        raise InputError("locations must lie in [0, 1]")
+    return _freeze(np.clip(loc, 0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -107,15 +118,17 @@ class MixtureSource:
         d = self.constituents - self.mean()
         return (d.T * self.weights) @ d
 
+    def as_dict(self):
+        """The model document as a dict; ``to_json`` serializes it."""
+        return {
+            "n": self.n,
+            "k": self.k,
+            "weights": self.weights.tolist(),
+            "constituents": self.constituents.tolist(),
+        }
+
     def to_json(self):
-        return json.dumps(
-            {
-                "n": self.n,
-                "k": self.k,
-                "weights": self.weights.tolist(),
-                "constituents": self.constituents.tolist(),
-            }
-        )
+        return json.dumps(self.as_dict())
 
     @classmethod
     def from_json(cls, text):
@@ -145,12 +158,8 @@ class KSpikeDistribution:
         loc = np.asarray(self.locations, dtype=float)
         if loc.shape != w.shape:
             raise InputError("weights and locations must have equal length")
-        if not np.isfinite(loc).all():
-            raise InputError("locations has non-finite entries")
-        if loc.min() < -WEIGHT_TOL or loc.max() > 1.0 + WEIGHT_TOL:
-            raise InputError("locations must lie in [0, 1]")
         object.__setattr__(self, "weights", _freeze(w))
-        object.__setattr__(self, "locations", _freeze(np.clip(loc, 0.0, 1.0)))
+        object.__setattr__(self, "locations", check_locations(loc))
 
     @property
     def k(self):

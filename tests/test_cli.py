@@ -163,6 +163,14 @@ class TestLearnCommand:
         assert report["manifest"]["statistics"] == statistics
         assert report["manifest"]["mode"] == ("oracle" if statistics == "exact" else "sampled")
 
+    @pytest.mark.parametrize("mode", ["oracle", "sampled"])
+    def test_report_model_is_the_model_document(self, mode):
+        model = generate_source(ExperimentConfig(n=8, k=2, seed=11, zeta=0.5))
+        cfg = ExperimentConfig(n=8, k=2, seed=2, samples1=50000, samples2=50000,
+                               samples_hi=50000, zeta=0.5, delta=1e-8, mode=mode)
+        report, learned = run_learn(cfg, model)
+        assert report["model"] == json.loads(learned.to_json())
+
     def test_poisson_mode_runs(self, tmp_path, capsys):
         model = self._model(tmp_path)
         rc = main(["learn", "--model", str(model), "--mode", "sampled", "--seed", "4",

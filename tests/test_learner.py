@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixlearn import kspike, learner
+from mixlearn.kspike import learn_kspike_from_nbm
 from mixlearn.learner import (
+    DrawnInputs,
     LearnerConstants,
     Matching,
     MatchingFailure,
@@ -306,3 +309,82 @@ class TestLearnMixture:
         assert consts["T"] == 3 * 4.0 * 2**4
         assert consts["H"] == pytest.approx(4.0 / (src.w_min**2 * rep.zeta * math.sqrt(10)))
         assert "match_tol" in consts and res.manifest["kprime"] == 1
+
+
+class TestWeightsOnlyOnBasisDirections:
+    """Matching reads only locations, so only a matched run's basis directions fit weights."""
+
+    @staticmethod
+    def _k3_source():
+        from mixlearn.cli import ExperimentConfig, generate_source
+
+        src = generate_source(ExperimentConfig(n=30, k=3, seed=5, zeta=0.2))
+        return src, width_report(src).zeta
+
+    @staticmethod
+    def _count_fits(monkeypatch):
+        calls = []
+        solve_weights = kspike.solve_weights
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve_weights(*args, **kwargs)
+
+        monkeypatch.setattr(kspike, "solve_weights", counted)
+        return calls
+
+    @pytest.mark.parametrize("seed, attempts", [(0, 1), (12, 2)])
+    def test_matched_run_fits_kprime_directions(self, monkeypatch, seed, attempts):
+        calls = self._count_fits(monkeypatch)
+        src, zeta = self._k3_source()
+        res = learn_mixture(OracleInputs(src), k=3, zeta=zeta, omega=4.0, delta=1e-8,
+                            w_min=src.w_min, rng=RngStream(seed))
+        assert (res.kprime, res.attempts) == (2, attempts)
+        assert len(calls) == res.kprime
+
+    def test_failed_matching_fits_nothing(self, monkeypatch):
+        calls = self._count_fits(monkeypatch)
+
+        def never_matches(*args):
+            raise MatchingFailure("forced")
+
+        monkeypatch.setattr(learner, "match_spikes", never_matches)
+        src, zeta = self._k3_source()
+        with pytest.raises(MatchingFailure, match="forced"):
+            learn_mixture(OracleInputs(src), k=3, zeta=zeta, omega=4.0, delta=1e-8,
+                          w_min=src.w_min, rng=RngStream(12))
+        assert calls == []
+
+    @pytest.mark.parametrize("k, seed, drawn", [(3, 12, False), (3, 1, True), (2, 3, True)])
+    def test_basis_directions_equal_the_whole_1d_learner(self, monkeypatch, k, seed, drawn):
+        # the split stages give, bit for bit, what one learn_kspike_from_nbm call gives
+        seen, fitted = [], []
+        learn_locations, fit_weights = learner.learn_spike_locations, learner.fit_spike_weights
+
+        def recording_locations(nu, cfg):
+            out = learn_locations(nu, cfg)
+            seen.append((nu, cfg, out[1]))
+            return out
+
+        def recording_fit(locations, g):
+            out = fit_weights(locations, g)
+            fitted.append(out)
+            return out
+
+        monkeypatch.setattr(learner, "learn_spike_locations", recording_locations)
+        monkeypatch.setattr(learner, "fit_spike_weights", recording_fit)
+        if k == 3:
+            src, zeta = self._k3_source()
+        else:
+            src = two_block_source(n=12, c=0.8, w=(0.4, 0.6))
+            zeta = width_report(src).zeta
+        inputs = (DrawnInputs(src, 10**12, 10**12, 10**12, RngStream(seed).child(11))
+                  if drawn else OracleInputs(src))
+        res = learn_mixture(inputs, k=k, zeta=zeta, omega=4.0, delta=1e-8, w_min=src.w_min,
+                            rng=RngStream(seed))
+        assert res.kprime == k - 1 and len(fitted) == res.kprime
+        assert len(seen) == res.kprime + (res.kprime - 1) * res.attempts
+        for (nu, cfg, locations), spikes in zip(seen, fitted):
+            whole = learn_kspike_from_nbm(nu, cfg)
+            assert spikes.locations.tobytes() == whole.locations.tobytes() == locations.tobytes()
+            assert spikes.weights.tobytes() == whole.weights.tobytes()
