@@ -16,20 +16,19 @@ import argparse
 
 import numpy as np
 
-from mixlearn.kspike import KSpikeConfig, empirical_nbm, learn_kspike_from_nbm, xi_for_sample_count
+from mixlearn.kspike import empirical_nbm, learn_kspike_from_nbm, xi_for_sample_count
 from mixlearn.model import KSpikeDistribution, spike_transport
 from mixlearn.sampling import RngStream
 
 
 def run(xi, true, n_samples, seeds, target):
     costs = []
-    cfg = KSpikeConfig.consistent(true.k, true.separation(), xi)
     for seed in range(seeds):
         gen = RngStream(40_000 + seed).generator()
         which = gen.random(n_samples) < true.weights[1]
         biases = np.where(which, true.locations[1], true.locations[0])
         bits = (gen.random((n_samples, 2 * true.k - 1)) < biases[:, None]).astype(np.int8)
-        out = learn_kspike_from_nbm(empirical_nbm(bits, true.k), cfg)
+        out = learn_kspike_from_nbm(empirical_nbm(bits, true.k), xi)
         costs.append(spike_transport(true, out).cost)
     costs = np.array(costs)
     return float((costs <= target).mean()), float(np.median(costs)), float(costs.max())

@@ -24,7 +24,6 @@ from .sampling import RngStream, SnapshotBatch, binarize, draw_snapshots
 from .isotropize import ItemMap, build_refinement, default_sigma, estimate_r, pull_back
 from .spectral import SpectralSubspace, empirical_M, estimate_A, random_basis
 from .kspike import (
-    KSpikeConfig,
     MomentVector,
     PascalPair,
     empirical_nbm,

@@ -77,6 +77,8 @@ class ExperimentConfig:
             raise InputError("zeta must lie in (0, 1]")
         if self.omega < 1.0 or self.delta <= 0.0:
             raise InputError("omega must be >= 1 and delta positive")
+        if self.varsigma > 1.0:  # xi = varsigma^(8k^2) is a moment accuracy, at most 1
+            raise InputError(f"varsigma must be at most 1 (got {self.varsigma!r})")
 
 
 def _field_accepts(type_name: str, value) -> bool:

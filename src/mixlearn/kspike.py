@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import project_to_simplex
-from .lp import LpInfeasible, solve_lp
+from .lp import LpError, LpInfeasible, solve_lp
 from .model import InputError, KSpikeDistribution, LearningFailure
 
 logger = logging.getLogger(__name__)
@@ -33,7 +33,6 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "MomentVector",
     "PascalPair",
-    "KSpikeConfig",
     "pascal_pair",
     "empirical_nbm",
     "nbm_to_moments",
@@ -144,46 +143,6 @@ def nbm_to_moments(nu: MomentVector) -> MomentVector:
     return MomentVector(kind="raw", values=nu.values @ _pascal_float(2 * nu.k), k=nu.k)
 
 
-@dataclass(frozen=True)
-class KSpikeConfig:
-    """Inputs of the 1-D learner: spike count, separation floor, moment accuracy.
-
-    The promise tau <= true minimum spike separation must come with
-    xi <= tau^(2k); use ``consistent`` to clamp tau down when a caller's
-    separation floor is too optimistic for its moment accuracy.
-    """
-
-    k: int
-    tau: float
-    xi: float
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise InputError("k must be at least 1")
-        if not 0.0 < self.tau <= 1.0:
-            raise InputError("tau must lie in (0, 1]")
-        if self.xi <= 0.0:
-            raise InputError("xi must be positive")
-        if self.xi > self.tau ** (2 * self.k) * (1.0 + 1e-12):
-            raise InputError("xi must not exceed tau^(2k)")
-
-    @property
-    def eps_root(self):
-        """Root acceptance radius (4/tau) (2 k xi)^(1/k)."""
-        return (4.0 / self.tau) * (2.0 * self.k * self.xi) ** (1.0 / self.k)
-
-    @classmethod
-    def consistent(cls, k: int, tau: float, xi: float) -> "KSpikeConfig":
-        """Build a config, lifting the separation floor to fit xi.
-
-        Spikes closer than xi^(1/(2k)) are unresolvable at accuracy xi, so a
-        floor below that carries no information; it is raised to the finest
-        resolvable separation (tau only sizes the root-polish radius).
-        """
-        tau_ok = min(max(tau, xi ** (1.0 / (2 * k))), 1.0)
-        return cls(k=k, tau=float(tau_ok), xi=float(xi))
-
-
 def xi_for_sample_count(k: int, n_samples: int, confidence: float = 0.1) -> float:
     """Default moment-accuracy parameter for N empirical (2k-1)-bit snapshots.
 
@@ -207,12 +166,15 @@ def solve_lambda(g, xi: float, k: int):
 
     Minimizes ||x||_1 subject to ||G x||_1 <= 2^k k xi and x_k = 1, where
     G_ij = g_(i+j) is the k x (k+1) moment Hankel slice.  Always feasible for
-    exact moments; noisy statistics can leave it infeasible, which raises
+    exact moments; noisy statistics can leave it infeasible, and a
+    near-singular Hankel can stall the dense simplex.  Either raises
     ``LearningFailure``.
     """
     g = np.asarray(g, dtype=float)
     if g.shape != (2 * k,):
         raise InputError("moment vector must have length 2k")
+    if not (xi > 0.0 and math.isfinite(xi)):
+        raise InputError(f"xi must be positive and finite (got {xi!r})")
     hankel = np.array([[g[i + j] for j in range(k + 1)] for i in range(k)])
     gf = hankel[:, :k]
     glast = hankel[:, k]
@@ -237,18 +199,22 @@ def solve_lambda(g, xi: float, k: int):
         sol = solve_lp(cost, a_ub=a_ub, b_ub=b_ub)
     except LpInfeasible as exc:
         raise LearningFailure("corrupt statistics: annihilator LP infeasible") from exc
+    except LpError as exc:
+        # the cost is nonnegative, so "unbounded" is a numerical fault, not the LP's optimum
+        raise LearningFailure(f"annihilator LP failed: {exc}") from exc
     lam = np.empty(k + 1)
     lam[:k] = sol.x[:k] - sol.x[k:2 * k]
     lam[k] = 1.0
     return lam
 
 
-def polynomial_roots(lam, eps_root: float):
-    """Real-clamped approximate roots of the monic polynomial sum lam_l x^l.
+def polynomial_roots(lam):
+    """Real-clamped roots of the monic polynomial sum lam_l x^l.
 
-    Roots come from the eigenvalues of the (balanced) companion matrix,
-    polished by a few Newton steps, then mapped by
-    max(0, min(Re(root), 1)) and sorted ascending.
+    Roots are the eigenvalues of the companion matrix, which are backward
+    stable (Edelman and Murakami, "Polynomial roots from companion matrix
+    eigenvalues", 1995), mapped by max(0, min(Re(root), 1)) and sorted
+    ascending.
     """
     lam = np.asarray(lam, dtype=float)
     k = lam.size - 1
@@ -257,33 +223,15 @@ def polynomial_roots(lam, eps_root: float):
     if abs(lam[k] - 1.0) > 1e-9:
         raise InputError("leading coefficient must be 1")
     if k == 1:
-        roots = np.array([-lam[0]], dtype=complex)
+        roots = np.array([-lam[0]])
     else:
         comp = np.zeros((k, k))
         comp[1:, :-1] = np.eye(k - 1)
         comp[:, -1] = -lam[:k]
-        roots = np.linalg.eigvals(comp).astype(complex)  # LAPACK balances internally
+        roots = np.linalg.eigvals(comp)  # LAPACK balances internally
     if not np.all(np.isfinite(roots)):
         raise RuntimeError(f"companion eigenvalue iteration failed for {lam!r}")
-
-    coeffs = lam.astype(complex)
-    dcoeffs = coeffs[1:] * np.arange(1, k + 1)
-    step_floor = max(eps_root * 1e-6, 1e-15)
-    for idx in range(roots.size):
-        z = roots[idx]
-        for _ in range(20):
-            p = np.polyval(coeffs[::-1], z)
-            dp = np.polyval(dcoeffs[::-1], z)
-            if abs(dp) < 1e-14:
-                break
-            delta = p / dp
-            z -= delta
-            if abs(delta) < step_floor:
-                break
-        if np.isfinite(z) and abs(np.polyval(coeffs[::-1], z)) <= abs(np.polyval(coeffs[::-1], roots[idx])):
-            roots[idx] = z
-    clamped = np.clip(roots.real, 0.0, 1.0)
-    return np.sort(clamped)
+    return np.sort(np.clip(roots.real, 0.0, 1.0))
 
 
 def solve_weights(locations, g, tol=1e-12, max_iter=100000, patience=200):
@@ -366,19 +314,17 @@ def _polish_support(y, v, g, floor=1e-12):
     return full / total
 
 
-def learn_spike_locations(nu: MomentVector, cfg: KSpikeConfig):
+def learn_spike_locations(nu: MomentVector, xi: float):
     """The locations stage of the 1-D learner: (raw moments, sorted spike locations).
 
-    NBMs -> raw moments -> annihilator LP -> clamped roots.  The weights are
-    a separate stage (``fit_spike_weights``), run only where they are read.
+    NBMs -> raw moments -> annihilator LP at moment accuracy ``xi`` -> clamped
+    roots.  The weights are a separate stage (``fit_spike_weights``), run
+    only where they are read.
     """
-    if nu.k != cfg.k:
-        raise InputError("config and moment vector disagree on k")
     g = nbm_to_moments(nu)
     if abs(g.values[0] - 1.0) > 0.1:
         raise InputError("corrupt statistics: zeroth moment deviates from 1 by > 0.1")
-    lam = solve_lambda(g.values, cfg.xi, cfg.k)
-    return g, polynomial_roots(lam, cfg.eps_root)
+    return g, polynomial_roots(solve_lambda(g.values, xi, nu.k))
 
 
 def fit_spike_weights(locations, g: MomentVector) -> KSpikeDistribution:
@@ -393,7 +339,7 @@ def fit_spike_weights(locations, g: MomentVector) -> KSpikeDistribution:
     return KSpikeDistribution(weights=weights, locations=locations)
 
 
-def learn_kspike_from_nbm(nu: MomentVector, cfg: KSpikeConfig) -> KSpikeDistribution:
+def learn_kspike_from_nbm(nu: MomentVector, xi: float) -> KSpikeDistribution:
     """Run the moment pipeline on an NBM vector (exact or empirical): both stages."""
-    g, locations = learn_spike_locations(nu, cfg)
+    g, locations = learn_spike_locations(nu, xi)
     return fit_spike_weights(locations, g)

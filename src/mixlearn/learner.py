@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kspike import (
-    KSpikeConfig,
     MomentVector,
     binom_profile_matrix,
     empirical_nbm,
@@ -157,16 +156,12 @@ class DirectionResult:
     fits the weights to.
     """
 
-    direction: np.ndarray
-    a: np.ndarray
     moments: MomentVector
     locations: np.ndarray
     scale: float
     offset: float
 
     def __post_init__(self):
-        if abs(np.linalg.norm(self.a) - 1.0) > 1e-10:
-            raise InputError("direction program output must be a unit vector")
         object.__setattr__(self, "locations", check_locations(self.locations))
 
     @property
@@ -368,11 +363,9 @@ def learn_direction(v, consts: LearnerConstants, inputs, slot, rng: RngStream,
     nu, n_samples = inputs.direction_nbm(slot, point_values, consts.k, rng)
     if xi is None:
         xi = 1e-12 if n_samples is None else xi_for_sample_count(consts.k, n_samples)
-    cfg = KSpikeConfig.consistent(consts.k, consts.L / (4.0 * h), xi)
-    moments, locations = learn_spike_locations(nu, cfg)
+    moments, locations = learn_spike_locations(nu, xi)
     scale = 2.0 * h * float(np.dot(a, v))
-    return DirectionResult(direction=np.asarray(v, dtype=float), a=a, moments=moments,
-                           locations=locations, scale=scale, offset=-0.5 * scale)
+    return DirectionResult(moments=moments, locations=locations, scale=scale, offset=-0.5 * scale)
 
 
 def _min_gap(values):

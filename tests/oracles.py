@@ -263,9 +263,9 @@ def nbm_of(d: KSpikeDistribution) -> MomentVector:
     return MomentVector(kind="nbm", values=nu, k=d.k)
 
 
-def learn_kspike(bit_snapshots, cfg) -> KSpikeDistribution:
-    """Learn a k-spike distribution from (2k-1)-bit snapshots."""
-    return learn_kspike_from_nbm(empirical_nbm(bit_snapshots, cfg.k), cfg)
+def learn_kspike(bit_snapshots, k, xi) -> KSpikeDistribution:
+    """Learn a k-spike distribution from (2k-1)-bit snapshots at moment accuracy xi."""
+    return learn_kspike_from_nbm(empirical_nbm(bit_snapshots, k), xi)
 
 
 def project_snapshot(row, x):

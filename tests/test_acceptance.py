@@ -13,7 +13,6 @@ import pytest
 
 from mixlearn.cli import ExperimentConfig, generate_source
 from mixlearn.kspike import (
-    KSpikeConfig,
     empirical_nbm,
     learn_kspike_from_nbm,
     pascal_pair,
@@ -66,7 +65,7 @@ class _Gate:
 
 
 def test_criterion_01_exact_1d_recovery():
-    gate = _Gate(1, "exact 1-D recovery, k in 1..4, tau >= 0.2, xi = 1e-12", 5.0)
+    gate = _Gate(1, "exact 1-D recovery, k in 1..4, separation >= 0.2, xi = 1e-12", 5.0)
     cases = [
         ([1.0], [0.5]),
         ([0.4, 0.6], [0.25, 0.75]),
@@ -77,14 +76,13 @@ def test_criterion_01_exact_1d_recovery():
     for w, locs in cases:
         d = KSpikeDistribution(np.array(w), np.array(locs))
         assert d.separation() >= 0.2
-        cfg = KSpikeConfig.consistent(d.k, tau=0.2, xi=1e-12)
-        out = learn_kspike_from_nbm(nbm_of(d), cfg)
+        out = learn_kspike_from_nbm(nbm_of(d), xi=1e-12)
         worst = max(worst, spike_transport(d, out).cost)
     gate.finish(worst <= 1e-6, f"worst transport {worst:.2e}")
 
 
 def test_criterion_02_sampled_1d_recovery():
-    gate = _Gate(2, "sampled 1-D recovery, k=2, tau=0.5, N=1e6, 50 seeds", 120.0)
+    gate = _Gate(2, "sampled 1-D recovery, k=2, separation 0.5, N=1e6, 50 seeds", 120.0)
     true = KSpikeDistribution(np.array([0.4, 0.6]), np.array([0.25, 0.75]))
     # the spike distribution as a 2-item mixture: p(item 1) = spike location
     src = MixtureSource(
@@ -94,14 +92,13 @@ def test_criterion_02_sampled_1d_recovery():
     )
     n_samples = 10**6
     xi = xi_for_sample_count(2, n_samples)
-    cfg = KSpikeConfig.consistent(2, tau=0.5, xi=xi)
     item_values = np.array([0.0, 1.0])
     costs = []
     for seed in range(50):
         rng = RngStream(31_000 + seed)
         batch = draw_snapshots(src, 3, n_samples, rng.child(0))
         bits = binarize(project_snapshot(batch.rows, item_values), rng.child(1))
-        out = learn_kspike(bits, cfg)
+        out = learn_kspike(bits, 2, xi)
         costs.append(spike_transport(true, out).cost)
     rate = float(np.mean(np.array(costs) <= 0.05))
     gate.finish(rate >= 0.9, f"pass rate {rate:.2f}, median {np.median(costs):.4f}")

@@ -2,6 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,8 @@ from mixlearn.cli import (
     run_learn,
 )
 from mixlearn.model import MixtureSource, width_report
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 class TestGenerate:
@@ -66,6 +72,24 @@ class TestLearnCommand:
                    "--samples2", "100", "--samples-hi", "100", "--zeta", "0.5"])
         assert rc == EXIT_LEARNING
         assert "learning failed: corrupt statistics" in capsys.readouterr().err
+
+    def test_unbounded_annihilator_lp_exits_1(self, tmp_path):
+        # on exact moments of this k = 5 source the dense simplex reports one
+        # direction's annihilator LP unbounded: a failed run, not a traceback
+        model = self._model(tmp_path, n=100, k=5, seed=9, zeta=0.1)
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        out = subprocess.run([sys.executable, "-m", "mixlearn", "learn", "--model", str(model),
+                              "--mode", "oracle", "--seed", "4", "--zeta", "0.22451813930555353"],
+                             env=env, timeout=60, capture_output=True, text=True)
+        assert out.returncode == EXIT_LEARNING
+        assert "error: learning failed" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("varsigma", ["1.5", "1e-20"])
+    def test_varsigma_out_of_range_exits_3(self, tmp_path, varsigma):
+        # xi = varsigma^(8 k^2) exceeds 1 at 1.5 and underflows to 0 at 1e-20 (k = 2)
+        model = self._model(tmp_path)
+        assert main(["learn", "--model", str(model), "--varsigma", varsigma]) == EXIT_CONFIG
 
     def test_invalid_config_exits_3(self, tmp_path):
         model = self._model(tmp_path)

@@ -3,13 +3,16 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import mixlearn.kspike as kspike
 from mixlearn.kspike import (
-    KSpikeConfig,
     MomentVector,
     binom_profile_matrix,
     empirical_nbm,
     learn_kspike_from_nbm,
+    learn_spike_locations,
     nbm_to_moments,
     pascal_pair,
     polynomial_roots,
@@ -18,6 +21,7 @@ from mixlearn.kspike import (
     vandermonde,
     xi_for_sample_count,
 )
+from mixlearn.lp import LpError, LpUnbounded
 from mixlearn.model import InputError, KSpikeDistribution, LearningFailure, spike_transport
 from mixlearn.sampling import RngStream
 
@@ -27,6 +31,25 @@ from oracles import learn_kspike, moments_of, nbm_of
 
 def spikes(w, a):
     return KSpikeDistribution(np.array(w), np.array(a))
+
+
+@st.composite
+def separated_roots(draw, max_k=6, gap=0.05):
+    """Sorted points in [0, 1], at most ``max_k`` of them, at least ``gap`` apart."""
+    k = draw(st.integers(1, max_k))
+    parts = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=k + 1, max_size=k + 1))) + 1e-3
+    return np.cumsum(parts[:k]) / parts.sum() * (1.0 - gap * (k - 1)) + gap * np.arange(k)
+
+
+@st.composite
+def noisy_nbms(draw, max_k=6, noise=1e-6):
+    """(NBM values, k): the exact NBMs of a k-spike distribution plus noise of at most ``noise``."""
+    k = draw(st.integers(1, max_k))
+    locations = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)))
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
+    jitter = np.array(draw(st.lists(st.floats(-noise, noise), min_size=2 * k, max_size=2 * k)))
+    nu = (weights / weights.sum()) @ binom_profile_matrix(locations, 2 * k) + jitter
+    return nu.tolist(), k
 
 
 class TestMoments:
@@ -152,6 +175,21 @@ class TestSolveLambda:
         with pytest.raises(LearningFailure, match="annihilator LP infeasible"):
             solve_lambda(np.array([0.0, 1.0]), 1e-6, 1)
 
+    @pytest.mark.parametrize("error", [LpUnbounded("objective unbounded below"),
+                                       LpError("simplex iteration limit exceeded")])
+    def test_every_lp_error_is_a_learning_failure(self, monkeypatch, error):
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(kspike, "solve_lp", failing)
+        with pytest.raises(LearningFailure, match=str(error)):
+            solve_lambda(moments_of(spikes([0.4, 0.6], [0.25, 0.75])).values, 1e-12, 2)
+
+    @pytest.mark.parametrize("xi", [0.0, -1e-9, math.nan, math.inf])
+    def test_xi_must_be_positive_and_finite(self, xi):
+        with pytest.raises(InputError, match="xi must be positive and finite"):
+            solve_lambda(moments_of(spikes([0.4, 0.6], [0.25, 0.75])).values, xi, 2)
+
     def test_matches_enumeration_oracle(self, rng):
         from oracles import brute_force_lp
 
@@ -185,24 +223,30 @@ class TestSolveLambda:
 
 class TestPolynomialRoots:
     def test_quadratic(self):
-        roots = polynomial_roots(np.array([0.1875, -1.0, 1.0]), eps_root=1e-9)
+        roots = polynomial_roots(np.array([0.1875, -1.0, 1.0]))
         assert np.allclose(roots, [0.25, 0.75], atol=1e-12)
 
     def test_complex_pair_clamps_to_real_part(self):
-        roots = polynomial_roots(np.array([1.0, 0.0, 1.0]), eps_root=1e-9)
+        roots = polynomial_roots(np.array([1.0, 0.0, 1.0]))
         assert np.allclose(roots, [0.0, 0.0])
 
     def test_linear(self):
-        assert polynomial_roots(np.array([-0.4, 1.0]), eps_root=1e-9)[0] == pytest.approx(0.4)
+        assert polynomial_roots(np.array([-0.4, 1.0]))[0] == pytest.approx(0.4)
 
     def test_out_of_range_roots_clamped(self):
         # (x - 2)(x + 1) = x^2 - x - 2
-        roots = polynomial_roots(np.array([-2.0, -1.0, 1.0]), eps_root=1e-9)
+        roots = polynomial_roots(np.array([-2.0, -1.0, 1.0]))
         assert np.allclose(roots, [0.0, 1.0])
 
     def test_requires_monic(self):
         with pytest.raises(InputError):
-            polynomial_roots(np.array([1.0, 2.0]), eps_root=1e-9)
+            polynomial_roots(np.array([1.0, 2.0]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(roots=separated_roots())
+    def test_recovers_separated_roots(self, roots):
+        lam = np.poly(roots)[::-1]  # ascending coefficients, monic
+        assert np.abs(polynomial_roots(lam) - roots).max() <= 1e-8
 
 
 def active_set_weights_oracle(locations, g):
@@ -270,8 +314,7 @@ class TestSolveWeights:
 class TestLearnKSpike:
     def test_exact_statistics_k2(self):
         d = spikes([0.4, 0.6], [0.2, 0.8])
-        cfg = KSpikeConfig.consistent(2, tau=0.5, xi=1e-12)
-        out = learn_kspike_from_nbm(nbm_of(d), cfg)
+        out = learn_kspike_from_nbm(nbm_of(d), xi=1e-12)
         assert spike_transport(d, out).cost <= 1e-6
 
     def test_exact_round_trip_up_to_k4(self):
@@ -283,14 +326,12 @@ class TestLearnKSpike:
         ]
         for w, a in cases:
             d = spikes(w, a)
-            cfg = KSpikeConfig.consistent(d.k, tau=0.2, xi=1e-12)
-            out = learn_kspike_from_nbm(nbm_of(d), cfg)
+            out = learn_kspike_from_nbm(nbm_of(d), xi=1e-12)
             assert spike_transport(d, out).cost <= 1e-6
 
     def test_k1_sampled_returns_clipped_mean(self):
         bits = (np.arange(100) % 10 < 3).astype(np.int8)[:, None]  # mean 0.3
-        cfg = KSpikeConfig.consistent(1, tau=0.5, xi=1e-12)
-        out = learn_kspike(bits, cfg)
+        out = learn_kspike(bits, 1, xi=1e-12)
         assert out.locations[0] == pytest.approx(0.3, abs=1e-9)
 
     def test_sampled_k2(self):
@@ -300,22 +341,32 @@ class TestLearnKSpike:
         which = gen.random(n) < d.weights[1]
         biases = np.where(which, d.locations[1], d.locations[0])
         bits = (gen.random((n, 3)) < biases[:, None]).astype(np.int8)
-        cfg = KSpikeConfig.consistent(2, tau=0.5, xi=xi_for_sample_count(2, n))
-        out = learn_kspike(bits, cfg)
+        out = learn_kspike(bits, 2, xi=xi_for_sample_count(2, n))
         assert spike_transport(d, out).cost < 0.05
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=noisy_nbms(), log_xi=st.floats(-12.0, 0.0))
+    # k = 5: the dense simplex reports this annihilator LP unbounded
+    @example(case=([0.1258218119917323, 0.020860275896255755, 0.005757729077370886,
+                    0.002301951783268598, 0.0010878879338839988, 0.000570494017527183,
+                    0.00035698934093215414, 0.00044801623823066, 0.0019278279221006465,
+                    0.013198639382139042], 5),
+             log_xi=math.log10(7.899973216374793e-08))
+    def test_locations_or_learning_failure(self, case, log_xi):
+        values, k = case
+        try:
+            _, locations = learn_spike_locations(MomentVector(kind="nbm", values=values, k=k),
+                                                 10.0**log_xi)
+        except LearningFailure:
+            return
+        assert locations.shape == (k,)
+        assert np.all(np.diff(locations) >= 0.0)
+        assert locations.min() >= 0.0 and locations.max() <= 1.0
 
     def test_corrupt_statistics_rejected(self):
         nu = MomentVector(kind="nbm", values=np.array([0.2, 0.0, 0.0, 0.2]), k=2)
-        cfg = KSpikeConfig.consistent(2, tau=0.5, xi=1e-6)
         with pytest.raises(InputError):
-            learn_kspike_from_nbm(nu, cfg)
-
-    def test_config_invariant(self):
-        with pytest.raises(InputError):
-            KSpikeConfig(k=2, tau=0.1, xi=1e-2)  # xi > tau^4
-        cfg = KSpikeConfig.consistent(2, tau=0.1, xi=1e-2)
-        assert cfg.xi <= cfg.tau ** (2 * cfg.k) * (1 + 1e-12)
-        assert cfg.eps_root == pytest.approx((4 / cfg.tau) * (2 * 2 * cfg.xi) ** 0.5)
+            learn_kspike_from_nbm(nu, xi=1e-6)
 
 
 class TestInterpolationBound:

@@ -361,9 +361,9 @@ class TestWeightsOnlyOnBasisDirections:
         seen, fitted = [], []
         learn_locations, fit_weights = learner.learn_spike_locations, learner.fit_spike_weights
 
-        def recording_locations(nu, cfg):
-            out = learn_locations(nu, cfg)
-            seen.append((nu, cfg, out[1]))
+        def recording_locations(nu, xi):
+            out = learn_locations(nu, xi)
+            seen.append((nu, xi, out[1]))
             return out
 
         def recording_fit(locations, g):
@@ -384,7 +384,7 @@ class TestWeightsOnlyOnBasisDirections:
                             rng=RngStream(seed))
         assert res.kprime == k - 1 and len(fitted) == res.kprime
         assert len(seen) == res.kprime + (res.kprime - 1) * res.attempts
-        for (nu, cfg, locations), spikes in zip(seen, fitted):
-            whole = learn_kspike_from_nbm(nu, cfg)
+        for (nu, xi, locations), spikes in zip(seen, fitted):
+            whole = learn_kspike_from_nbm(nu, xi)
             assert spikes.locations.tobytes() == whole.locations.tobytes() == locations.tobytes()
             assert spikes.weights.tobytes() == whole.weights.tobytes()
