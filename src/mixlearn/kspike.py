@@ -1,9 +1,11 @@
 """One-dimensional k-spike learner.
 
 Pipeline: empirical normalized binomial moments (NBMs) of (2k-1)-bit
-snapshots -> raw moments via the Pascal matrix -> annihilating polynomial by
-an l1-regularized LP -> spike locations as (clamped real parts of) its roots
--> spike weights by simplex-constrained least squares against the moments.
+snapshots -> raw moments via the Pascal matrix -> moments about the mean,
+scaled by the spread -> annihilating polynomial by an l1-regularized LP ->
+spike locations as the real parts of its roots, mapped back and clamped to
+[0, 1] -> spike weights by simplex-constrained least squares against the raw
+moments.
 The locations and the weights are two stages (``learn_spike_locations`` and
 ``fit_spike_weights``), so a caller that reads only locations skips the fit.
 
@@ -148,12 +150,18 @@ def xi_for_sample_count(k: int, n_samples: int, confidence: float = 0.1) -> floa
 
     Each raw moment g~_j is a mean of N iid [0,1] statistics, so by Hoeffding
     ||g~ - g||_2 <= dev := sqrt(2k) sqrt(ln(4k/confidence) / 2N) with
-    probability at least 1 - confidence.  Minimizing the l1 norm within a
-    budget comparable to the noise drags the annihilator systematically
-    toward cheap polynomials, so the default keeps the LP budget 2^k k xi an
-    order of magnitude *below* dev: the fit is then effectively
-    interpolation, with the l1 constraint only guarding degenerate inputs.
-    Constant validated by scripts/calibrate_xi.py.
+    probability at least 1 - confidence.  That bound is for raw moments.  The
+    annihilator LP sees the moments about their mean c, scaled by the spread
+    s (``learn_spike_locations``), where an error in the raw moments can grow
+    by up to max_l sum_i C(l, i) |c|^(l-i) / s^l: up to 8.8e3 on the k = 3,
+    n = 60 source of the README's sample-size sweep.  Scaling xi by that
+    factor failed 20 of 20 runs there at N = 1e8 and 1e10, so xi is not a
+    bound on the centred moments' error but the LP budget's calibrated scale.
+    Minimizing the l1 norm within a budget comparable to the noise drags the
+    annihilator systematically toward cheap polynomials, so the default keeps
+    the LP budget 2^k k xi an order of magnitude *below* dev: the fit is then
+    effectively interpolation, with the l1 constraint only guarding
+    degenerate inputs.  Constant validated by scripts/calibrate_xi.py.
     """
     if n_samples < 1:
         raise InputError("sample count must be positive")
@@ -209,12 +217,12 @@ def solve_lambda(g, xi: float, k: int):
 
 
 def polynomial_roots(lam):
-    """Real-clamped roots of the monic polynomial sum lam_l x^l.
+    """Real parts of the roots of the monic polynomial sum lam_l x^l, sorted ascending.
 
     Roots are the eigenvalues of the companion matrix, which are backward
     stable (Edelman and Murakami, "Polynomial roots from companion matrix
-    eigenvalues", 1995), mapped by max(0, min(Re(root), 1)) and sorted
-    ascending.
+    eigenvalues", 1995).  They are not clamped: the caller maps them into its
+    own frame first.
     """
     lam = np.asarray(lam, dtype=float)
     k = lam.size - 1
@@ -231,7 +239,7 @@ def polynomial_roots(lam):
         roots = np.linalg.eigvals(comp)  # LAPACK balances internally
     if not np.all(np.isfinite(roots)):
         raise RuntimeError(f"companion eigenvalue iteration failed for {lam!r}")
-    return np.sort(np.clip(roots.real, 0.0, 1.0))
+    return np.sort(roots.real)
 
 
 def solve_weights(locations, g, tol=1e-12, max_iter=100000, patience=200):
@@ -317,14 +325,48 @@ def _polish_support(y, v, g, floor=1e-12):
 def learn_spike_locations(nu: MomentVector, xi: float):
     """The locations stage of the 1-D learner: (raw moments, sorted spike locations).
 
-    NBMs -> raw moments -> annihilator LP at moment accuracy ``xi`` -> clamped
-    roots.  The weights are a separate stage (``fit_spike_weights``), run
-    only where they are read.
+    NBMs -> raw moments -> annihilator LP at moment accuracy ``xi`` -> roots
+    clamped to [0, 1].  For k >= 2 the LP sees the moments of (x - c) / s,
+    g'_l = sum_i C(l, i) (-c)^(l-i) g_i / s^l, with c = g_1/g_0 and
+    s = 2 sqrt(g_2/g_0 - c^2), and each root z maps back to c + s z.  Spikes
+    that cluster inside [0, 1] make the Hankel of raw moments about 0 nearly
+    singular; about their mean, at unit spread, it is far better conditioned.
+    The weights are a separate stage (``fit_spike_weights``), run only where
+    they are read, on the raw moments.
     """
     g = nbm_to_moments(nu)
     if abs(g.values[0] - 1.0) > 0.1:
         raise InputError("corrupt statistics: zeroth moment deviates from 1 by > 0.1")
-    return g, polynomial_roots(solve_lambda(g.values, xi, nu.k))
+    k = nu.k
+    if k == 1:  # no second moment to centre with
+        return g, np.clip(polynomial_roots(solve_lambda(g.values, xi, k)), 0.0, 1.0)
+    g0, g1, g2 = g.values[:3]
+    c = g1 / g0
+    var = g2 / g0 - c * c
+    if not var > 0.0:
+        raise LearningFailure(f"corrupt statistics: moment variance {var:.3e} is not positive")
+    s = 2.0 * math.sqrt(var)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        centred = nu.values @ _centring_matrix(k, c) / s ** np.arange(2 * k)
+    if not np.all(np.isfinite(centred)):
+        raise LearningFailure(f"corrupt statistics: moments about the mean overflow at spread {s:.3e}")
+    z = polynomial_roots(solve_lambda(centred, xi, k))
+    return g, np.clip(c + s * z, 0.0, 1.0)
+
+
+def _centring_matrix(k: int, c: float) -> np.ndarray:
+    """B with nu @ B = sum_i C(l, i) (-c)^(l-i) g_i, the moments about c, read off the NBMs.
+
+    Column l holds the coefficients of (x - c)^l in the basis x^i (1-x)^(2k-1-i),
+    those of ((1-c) u - c)^l (1 + u)^(2k-1-l) in u = x/(1-x).  Shifting the raw
+    moments instead sums terms whose rounding reaches about (2c)^l eps; read off
+    the NBMs it stays near max(c, 1-c)^l eps.  For spikes packed near 1 that
+    is the difference between a garbled and an accurate input to the LP.
+    """
+    m = 2 * k - 1
+    cols = [np.convolve([math.comb(l, j) * (1.0 - c) ** j * (-c) ** (l - j) for j in range(l + 1)],
+                        [math.comb(m - l, r) for r in range(m - l + 1)]) for l in range(m + 1)]
+    return np.array(cols).T
 
 
 def fit_spike_weights(locations, g: MomentVector) -> KSpikeDistribution:

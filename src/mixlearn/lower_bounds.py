@@ -4,8 +4,8 @@
 j / ((2k-1) rho), j = 0..2k-1, whose first 2k-2 raw moments coincide while
 their transportation distance stays at least 1/((2k-1) rho).  Their
 difference is a signed binomial measure on a rational grid, so its moment
-gaps (the paper's LP value) and its snapshot count gaps are summed exactly in
-integers and rounded once.  ``tv_snapshot_distance`` evaluates the total
+gaps (the paper's LP value, in closed form) and its snapshot count gaps are
+summed exactly in integers and rounded once.  ``tv_snapshot_distance`` evaluates the total
 variation between the b-snapshot distributions of any two k-spike
 distributions by enumerating {0,1}^b.
 """
@@ -23,7 +23,7 @@ __all__ = ["MAX_APERTURE", "ENUMERATION_LIMIT", "HardPair", "hard_pair", "tv_sna
            "aperture_indistinguishability", "sample_lower_bound"]
 
 # Up to this aperture lp_bound = 4 * 3^b / rho^(2k-1) is a finite double for all k >= 1,
-# rho >= 2 (2 * 3^646 is not); m shares it, as the exact sums cost O(k m) big-integer steps.
+# rho >= 2 (2 * 3^646 is not); m shares it, as the exact TV sum costs O(k m) big-integer steps.
 MAX_APERTURE = 645
 ENUMERATION_LIMIT = 14  # tv_snapshot_distance sums 2^b snapshot probabilities
 
@@ -55,26 +55,37 @@ class HardPair:
         return 4 * 3**self.b * q**n / p**n
 
 
-def _gap_sum(k: int, rho: float, m: int, moments: bool) -> float:
-    """Exact weighted l1 norm of a gap vector of the hard pair, rounded once.
+def _lp_value(k: int, rho: float, m: int) -> float:
+    """Exact LP objective sum_l C(m, l) 2^l |g_l| of the hard pair's raw-moment gaps, rounded once.
 
-    first - second puts c_j = (-1)^j C(2k-1, j) / 2^(2k-2) on x_j = j h.  With
-    moments this is sum_l C(m, l) 2^l |g_l| over its raw moments g_l (zero
-    below 2k-1, so the LP objective at aperture m); otherwise it is
-    sum_i C(m, i) |sum_j c_j x_j^i (1 - x_j)^(m-i)|, twice the m-snapshot TV.
-    With rho = p/q, every term is an integer over ((2k-1) p)^m 2^(2k-2).
+    first - second puts c_j = (-1)^j C(2k-1, j) / 2^(2k-2) on x_j = j h, and every
+    nonzero gap g_l (l >= 2k-1) has the sign (-1)^(2k-1), so the absolute values
+    move outside the sum: |sum_j c_j (1 + 2 x_j)^m|.  With rho = p/q that is an
+    integer over ((2k-1) p)^m 2^(2k-2).
+    """
+    n = 2 * k - 1
+    p, q = rho.as_integer_ratio()
+    den = n * p
+    total = sum((-1) ** j * math.comb(n, j) * (den + 2 * j * q) ** m for j in range(n + 1))
+    return abs(total) / (den**m << (n - 1))
+
+
+def _gap_sum(k: int, rho: float, m: int) -> float:
+    """Exact sum_i C(m, i) |sum_j c_j x_j^i (1 - x_j)^(m-i)| of the hard pair, rounded once.
+
+    That is twice the m-snapshot TV, with c_j and x_j as in ``_lp_value``.  With
+    rho = p/q every term is an integer over ((2k-1) p)^m 2^(2k-2).
     """
     n = 2 * k - 1
     p, q = rho.as_integer_ratio()
     den = n * p
     x = np.array([j * q for j in range(n + 1)], dtype=object)
-    rest = den if moments else den - x
+    rest = den - x
     # v_j = c_j x_j^i rest_j^(m-i), scaled to integers, stepped over i
     v = np.array([(-1) ** j * math.comb(n, j) for j in range(n + 1)], dtype=object) * rest**m
     total = 0
     for i in range(m + 1):
-        weight = math.comb(m, i) << i if moments else math.comb(m, i)
-        total += weight * abs(v.sum())
+        total += math.comb(m, i) * abs(v.sum())
         if i < m:
             v = v // rest * x
     return total / (den**m << (n - 1))
@@ -104,7 +115,7 @@ def hard_pair(k: int, b: int, rho: float) -> HardPair:
     first = KSpikeDistribution(np.array(weights[0::2]), np.array(grid[0::2]))
     second = KSpikeDistribution(np.array(weights[1::2]), np.array(grid[1::2]))
     pair = HardPair(k=k, b=b, rho=rho, first=first, second=second,
-                    lp_value=_gap_sum(k, rho, b, moments=True))
+                    lp_value=_lp_value(k, rho, b))
     if pair.lp_value > pair.lp_bound * (1.0 + 1e-9):
         raise InputError(f"LP value exceeds its bound at k={k}, b={b}, rho={rho:g}")
     return pair
@@ -137,7 +148,7 @@ def aperture_indistinguishability(pair: HardPair, m: int) -> float:
         raise InputError("aperture must be nonnegative")
     if m > MAX_APERTURE:
         raise InputError(f"aperture m={m} exceeds {MAX_APERTURE}, the largest the demo evaluates")
-    return _gap_sum(pair.k, pair.rho, m, moments=False) / 2
+    return _gap_sum(pair.k, pair.rho, m) / 2
 
 
 def sample_lower_bound(pair: HardPair, psi: float) -> float:

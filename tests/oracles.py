@@ -211,6 +211,25 @@ def hard_pair_exact(k: int, b: int, rho: float):
     return y, z, lp_value
 
 
+def hard_pair_lp_value_stepped(k: int, rho: float, m: int) -> float:
+    """The hard pair's sum_l C(m, l) 2^l |g_l| over its raw-moment gaps, term by term.
+
+    Each |g_l| is its own exact integer sum, stepped over l, with no use of the
+    gaps sharing a sign; the total is rounded once like ``hard_pair``'s value.
+    """
+    n = 2 * k - 1
+    p, q = rho.as_integer_ratio()
+    den = n * p
+    x = np.array([j * q for j in range(n + 1)], dtype=object)
+    v = np.array([(-1) ** j * math.comb(n, j) for j in range(n + 1)], dtype=object) * den**m
+    total = 0
+    for l in range(m + 1):  # v_j = c_j x_j^l den^(m-l), scaled to integers
+        total += (math.comb(m, l) << l) * abs(v.sum())
+        if l < m:
+            v = v // den * x
+    return total / (den**m << (n - 1))
+
+
 def map_snapshot(item_map, row, rng):
     """Map one snapshot into the refined domain; None if it hits an eliminated item.
 

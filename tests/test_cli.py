@@ -74,15 +74,15 @@ class TestLearnCommand:
         assert "learning failed: corrupt statistics" in capsys.readouterr().err
 
     def test_unbounded_annihilator_lp_exits_1(self, tmp_path):
-        # on exact moments of this k = 5 source the dense simplex reports one
+        # on exact moments of this k = 6 source the dense simplex reports one
         # direction's annihilator LP unbounded: a failed run, not a traceback
-        model = self._model(tmp_path, n=100, k=5, seed=9, zeta=0.1)
+        model = self._model(tmp_path, n=100, k=6, seed=9, zeta=0.1)
         env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
         out = subprocess.run([sys.executable, "-m", "mixlearn", "learn", "--model", str(model),
-                              "--mode", "oracle", "--seed", "4", "--zeta", "0.22451813930555353"],
+                              "--mode", "oracle", "--seed", "1", "--zeta", "0.19619358296779385"],
                              env=env, timeout=60, capture_output=True, text=True)
         assert out.returncode == EXIT_LEARNING
-        assert "error: learning failed" in out.stderr
+        assert "error: learning failed: annihilator LP failed: objective unbounded below" in out.stderr
         assert "Traceback" not in out.stderr
 
     @pytest.mark.parametrize("varsigma", ["1.5", "1e-20"])

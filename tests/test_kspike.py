@@ -3,7 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import mixlearn.kspike as kspike
@@ -34,9 +34,9 @@ def spikes(w, a):
 
 
 @st.composite
-def separated_roots(draw, max_k=6, gap=0.05):
-    """Sorted points in [0, 1], at most ``max_k`` of them, at least ``gap`` apart."""
-    k = draw(st.integers(1, max_k))
+def separated_roots(draw, max_k=6, gap=0.05, min_k=1):
+    """Sorted points in [0, 1], ``min_k`` to ``max_k`` of them, at least ``gap`` apart."""
+    k = draw(st.integers(min_k, max_k))
     parts = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=k + 1, max_size=k + 1))) + 1e-3
     return np.cumsum(parts[:k]) / parts.sum() * (1.0 - gap * (k - 1)) + gap * np.arange(k)
 
@@ -50,6 +50,16 @@ def noisy_nbms(draw, max_k=6, noise=1e-6):
     jitter = np.array(draw(st.lists(st.floats(-noise, noise), min_size=2 * k, max_size=2 * k)))
     nu = (weights / weights.sum()) @ binom_profile_matrix(locations, 2 * k) + jitter
     return nu.tolist(), k
+
+
+@st.composite
+def separated_spikes(draw, min_k=2, max_k=4, gap=0.01, min_weight=0.05):
+    """A k-spike distribution with locations at least ``gap`` apart and weights >= ``min_weight``."""
+    locations = draw(separated_roots(max_k=max_k, gap=gap, min_k=min_k))
+    k = locations.size
+    parts = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))) + 1e-3
+    weights = min_weight + (1.0 - k * min_weight) * parts / parts.sum()
+    return KSpikeDistribution(weights, locations)
 
 
 class TestMoments:
@@ -233,10 +243,10 @@ class TestPolynomialRoots:
     def test_linear(self):
         assert polynomial_roots(np.array([-0.4, 1.0]))[0] == pytest.approx(0.4)
 
-    def test_out_of_range_roots_clamped(self):
-        # (x - 2)(x + 1) = x^2 - x - 2
+    def test_out_of_range_roots_unclamped(self):
+        # (x - 2)(x + 1) = x^2 - x - 2; the clamp to [0, 1] is learn_spike_locations'
         roots = polynomial_roots(np.array([-2.0, -1.0, 1.0]))
-        assert np.allclose(roots, [0.0, 1.0])
+        assert np.allclose(roots, [-1.0, 2.0])
 
     def test_requires_monic(self):
         with pytest.raises(InputError):
@@ -352,6 +362,8 @@ class TestLearnKSpike:
                     0.00035698934093215414, 0.00044801623823066, 0.0019278279221006465,
                     0.013198639382139042], 5),
              log_xi=math.log10(7.899973216374793e-08))
+    # k = 2: a subnormal variance, so the moments scaled by the spread overflow
+    @example(case=([1.0, 0.0, 0.0, 5e-324], 2), log_xi=0.0)
     def test_locations_or_learning_failure(self, case, log_xi):
         values, k = case
         try:
@@ -362,6 +374,35 @@ class TestLearnKSpike:
         assert locations.shape == (k,)
         assert np.all(np.diff(locations) >= 0.0)
         assert locations.min() >= 0.0 and locations.max() <= 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=separated_spikes())
+    def test_recovers_close_spikes_on_exact_moments(self, d):
+        # clustered spikes leave the Hankel of raw moments about 0 nearly
+        # singular; in the centred frame each location comes back within 1 % of a gap
+        xi = 1e-12
+        mean = d.weights @ d.locations
+        spread = 2.0 * math.sqrt(d.weights @ (d.locations - mean) ** 2)
+        # the LP's budget moves the roots in proportion to xi / tau^(2k), tau the
+        # separation in the frame the LP sees: 4 % of a gap at tau^(2k) = 1.4 xi,
+        # for a light cluster far from the mass.  Ask tau^(2k) >= 100 xi.
+        assume((d.separation() / spread) ** (2 * d.k) >= 100.0 * xi)
+        _, locations = learn_spike_locations(nbm_of(d), xi)
+        assert np.abs(locations - d.locations).max() <= 0.01 * d.separation()
+
+    @pytest.mark.parametrize("outside, want", [((-0.1, 0.5), (0.0, 0.5)), ((0.3, 1.2), (0.3, 1.0))])
+    def test_roots_outside_the_interval_come_back_clamped(self, outside, want):
+        # the moments of spikes outside [0, 1]: the annihilator's roots land there
+        # too, and only the learned locations are clamped
+        nu = MomentVector(kind="nbm", values=np.array([0.5, 0.5]) @ binom_profile_matrix(outside, 4), k=2)
+        _, locations = learn_spike_locations(nu, 1e-12)
+        assert np.allclose(locations, want, atol=1e-9)
+
+    def test_negative_variance_is_a_learning_failure(self):
+        # raw moments 1, 0.5, 0.2: g_2 - g_1^2 < 0, so there is no spread to scale by
+        nu = MomentVector(kind="nbm", values=np.array([1.0, 0.5, 0.2, 0.1]) @ pascal_pair(4).inv, k=2)
+        with pytest.raises(LearningFailure, match="variance"):
+            learn_spike_locations(nu, 1e-12)
 
     def test_corrupt_statistics_rejected(self):
         nu = MomentVector(kind="nbm", values=np.array([0.2, 0.0, 0.0, 0.2]), k=2)

@@ -17,7 +17,7 @@ from mixlearn.lower_bounds import (
 )
 from mixlearn.model import InputError, KSpikeDistribution, spike_transport
 
-from oracles import hard_pair_exact, moments_of, pascal_inverse_identity_exact
+from oracles import hard_pair_exact, hard_pair_lp_value_stepped, moments_of, pascal_inverse_identity_exact
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -80,6 +80,17 @@ class TestHardPair:
             assert np.abs(pair.second.weights - np.array([float(v) for v in z])).max() <= 1e-15
             assert pair.lp_value == pytest.approx(float(lp_value), rel=1e-12, abs=0.0)
             assert pair.lp_value <= pair.lp_bound
+
+    @pytest.mark.parametrize("rho", [2.0, 3.7, 10.0])
+    def test_closed_form_lp_value_equals_the_stepped_sum(self, rho):
+        # the same float, not just close: both round the same exact rational once
+        for k in range(1, 41):
+            for b in (2 * k - 1, 2 * k, 3 * k):
+                assert hard_pair(k, b, rho).lp_value == hard_pair_lp_value_stepped(k, rho, b)
+
+    @pytest.mark.parametrize("k", [1, 40, 323])
+    def test_closed_form_lp_value_at_the_largest_aperture(self, k):
+        assert hard_pair(k, MAX_APERTURE, 2.0).lp_value == hard_pair_lp_value_stepped(k, 2.0, MAX_APERTURE)
 
     def test_lp_bound_full_grid(self):
         for k in (1, 2, 3):
