@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .isotropize import build_refinement, default_sigma, estimate_r, map_batch, pull_back
+from .isotropize import build_refinement, default_sigma, drop_eliminated, estimate_r, pull_back
 from .learner import DrawnInputs, MatchingFailure, OracleInputs, SampledInputs, learn_mixture
 from .lower_bounds import aperture_indistinguishability, hard_pair, sample_lower_bound, tv_snapshot_distance
 from .model import InputError, LearningFailure, MixtureSource, mixture_transport, width_report
@@ -33,12 +33,9 @@ EXIT_LEARNING = 1
 EXIT_IO = 2
 EXIT_CONFIG = 3
 
-# Largest refined domain --isotropize accepts.  At 4096, empirical_M's nprime^2
-# int64 bincount and its float copy take 128 MiB each, and LAPACK's eigensolve
-# of the nprime x nprime matrix takes about 26 s on one core of a 2-CPU x86
-# machine.  The default sigma can ask for far more: nprime = 25600 at n = 20,
-# a 5.2 GB bincount.
-MAX_NPRIME = 4096
+# Largest refined domain --isotropize accepts: the learner holds a few
+# nprime-long float vectors, 128 MiB each at 2^24.
+MAX_NPRIME = 1 << 24
 
 CSV_HEADER = "run_id,n,k,N1,N2,Nhi,seed,tran_dist,max_l1_err,max_w_err,wall_ms"
 
@@ -205,18 +202,18 @@ def run_learn(cfg: ExperimentConfig, model: MixtureSource):
     from the statistics of ``samples1``/``samples2``/``samples_hi`` snapshots
     of the model (poissonized counts under ``poisson``), drawn straight from
     their multinomial law without building rows.  With ``isotropize`` the
-    snapshot rows are drawn, mapped through the rare-item reduction and read
-    back, and the learned source is pulled back to the model's items.  The
-    manifest's ``statistics`` key says which of the three ("exact", "drawn",
-    "rows") the run learned from.
+    snapshot rows are drawn, the rows holding an item the rare-item reduction
+    eliminates are dropped, the learner works on the split items from the
+    statistics of the rows left, and the learned source is pulled back to the
+    model's items.  The manifest's ``statistics`` key says which of the three
+    ("exact", "drawn", "rows") the run learned from.
     """
     rng = RngStream(cfg.seed)
     start = time.perf_counter()
     wmin = cfg.wmin if cfg.wmin > 0 else model.w_min
     xi = cfg.varsigma ** (8 * cfg.k**2) if cfg.varsigma > 0 else None
     counts = [cfg.samples1, cfg.samples2, cfg.samples_hi]  # sampled mode reports the counts drawn
-    item_map = None
-    survival = None
+    item_map = survival = None
     zeta = cfg.zeta
 
     if cfg.mode == "oracle":
@@ -226,33 +223,26 @@ def run_learn(cfg: ExperimentConfig, model: MixtureSource):
         if cfg.poisson:
             counts = [int(gen.poisson(c)) for c in counts]
         if cfg.isotropize:
-            batch1 = draw_snapshots(model, 1, counts[0], rng.child(11))
-            batch2 = draw_snapshots(model, 2, counts[1], rng.child(12))
-            batch_hi = draw_snapshots(model, 2 * cfg.k - 1, counts[2], rng.child(13))
-            rt = estimate_r(batch1, model.n)
+            batches = [draw_snapshots(model, m, count, rng.child(11 + i))
+                       for i, (m, count) in enumerate(zip((1, 2, 2 * cfg.k - 1), counts))]
             sigma = cfg.sigma if cfg.sigma > 0 else default_sigma(cfg.eps, cfg.zeta, cfg.k, wmin)
-            item_map = build_refinement(rt, sigma)
+            item_map = build_refinement(estimate_r(batches[0], model.n), sigma)
             if item_map.nprime > MAX_NPRIME:
                 raise InputError(f"sigma={sigma!r} splits the items into nprime={item_map.nprime} "
                                  f"copies, more than {MAX_NPRIME}; raise --sigma")
-            batch1 = map_batch(item_map, batch1, rng.child(21))
-            batch2 = map_batch(item_map, batch2, rng.child(22))
-            batch_hi = map_batch(item_map, batch_hi, rng.child(23))
+            batches = [drop_eliminated(item_map, b) for b in batches]
             survival = {
                 "sigma": sigma,
                 "nprime": item_map.nprime,
-                "survived": [len(batch1), len(batch2), len(batch_hi)],
+                "survived": [len(b) for b in batches],
                 "drawn": list(counts),
             }
-            inputs = SampledInputs(batch1=batch1, batch2=batch2, batch_hi=batch_hi,
-                                   n=item_map.nprime)
+            inputs = SampledInputs(*batches, item_map)
             zeta = cfg.zeta / 2.0
         else:
             inputs = DrawnInputs(model, *counts, rng.child(11))
     result = learn_mixture(inputs, cfg.k, zeta, cfg.omega, cfg.delta, wmin, rng.child(5), xi=xi)
-    learned = result.source
-    if item_map is not None:
-        learned = pull_back(item_map, learned)
+    learned = result.source if item_map is None else pull_back(item_map, result.source)
 
     wall_ms = int(1000 * (time.perf_counter() - start))
     tran, l1, werr = evaluate_errors(model, learned)

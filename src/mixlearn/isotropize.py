@@ -1,11 +1,11 @@
 """Reduction to the isotropic regime: estimate the mean distribution, drop
-rare items, split heavy items into near-uniform copies, map snapshots into
-the refined domain, and pull learned constituents back to the original one.
+rare items, split heavy items into near-uniform copies, learn the split
+source's covariance eigenspace, and pull learned constituents back.
 
 An item i with estimated mass rt_i below 2*sigma/n is eliminated; every kept
 item is split into floor(n * rt_i / sigma) copies of equal mass.  Snapshots
-containing an eliminated item are discarded; surviving items are relabeled to
-a uniformly random copy.
+containing an eliminated item are discarded; the others keep their labels,
+as the refined statistics are the n-item ones rescaled (``refined_subspace``).
 """
 
 from __future__ import annotations
@@ -14,14 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import jacobi_eigh
 from .model import InputError, MixtureSource
-from .sampling import RngStream, SnapshotBatch
+from .sampling import SnapshotBatch
+from .spectral import SpectralSubspace
 
 __all__ = [
     "ItemMap",
     "estimate_r",
     "build_refinement",
-    "map_batch",
+    "drop_eliminated",
+    "refined_subspace",
     "pull_back",
     "default_sigma",
 ]
@@ -60,10 +63,6 @@ class ItemMap:
     def eliminated(self):
         return self.splits == 0
 
-    def copy_owner(self):
-        """Length-nprime array mapping each copy back to its original item."""
-        return np.repeat(np.arange(self.n), self.splits)
-
 
 def estimate_r(batch: SnapshotBatch, n: int):
     """Empirical item frequencies from a 1-snapshot batch."""
@@ -91,20 +90,35 @@ def build_refinement(rtilde, sigma) -> ItemMap:
     return ItemMap(sigma=float(sigma), splits=splits, offsets=offsets)
 
 
-def map_batch(item_map: ItemMap, batch: SnapshotBatch, rng: RngStream) -> SnapshotBatch:
-    """Map each row into the refined domain, dropping rows that hit an eliminated item.
+def drop_eliminated(item_map: ItemMap, batch: SnapshotBatch) -> SnapshotBatch:
+    """The rows of ``batch`` that hold no eliminated item, with their original labels."""
+    alive = ~np.any(item_map.eliminated[batch.rows], axis=1)
+    return SnapshotBatch(aperture=batch.aperture, rows=batch.rows[alive], n=item_map.n)
 
-    Every surviving item is relabeled to a uniformly random one of its copies.
+
+def refined_subspace(item_map: ItemMap, mtilde, rtilde, zeta) -> SpectralSubspace:
+    """The split source's covariance eigenspace from the n-item ``mtilde``, ``rtilde``.
+
+    Copy c of item i has mean r_i/s_i and second moments M_ij/(s_i s_j), so
+    over the kept items the refined covariance is Q S^(-1/2) (M - r r^T)
+    S^(-1/2) Q^T with S = diag(s) and Q the orthonormal lift giving copy c of
+    item i the entry w_i/sqrt(s_i) (the whitening of Anandkumar et al., 2012).
+    The top eigenvectors at the refined threshold zeta^2 / (2 nprime) are
+    lifted; no nprime x nprime array is built.
     """
-    rows = batch.rows
-    if rows.size == 0:
-        return SnapshotBatch(aperture=batch.aperture, rows=rows, n=item_map.nprime)
-    splits = item_map.splits[rows]
-    alive = ~np.any(splits == 0, axis=1)
-    kept = rows[alive]
-    gen = rng.generator()
-    mapped = item_map.offsets[kept] + gen.integers(0, item_map.splits[kept])
-    return SnapshotBatch(aperture=batch.aperture, rows=mapped, n=item_map.nprime)
+    kept = ~item_map.eliminated
+    splits = item_map.splits[kept]
+    root = np.sqrt(splits)
+    b = (mtilde - np.outer(rtilde, rtilde))[np.ix_(kept, kept)]
+    eigenvalues, w = jacobi_eigh(b / np.outer(root, root))
+    threshold = zeta**2 / (2.0 * item_map.nprime)
+    kprime = int(np.sum(eigenvalues >= threshold))
+    return SpectralSubspace(
+        rtilde=np.repeat(rtilde[kept] / splits, splits),
+        eigenvalues=eigenvalues,
+        basis=np.repeat(w[:, :kprime] / root[:, None], splits, axis=0),
+        threshold=float(threshold),
+    )
 
 
 def pull_back(item_map: ItemMap, learned: MixtureSource) -> MixtureSource:
@@ -116,7 +130,7 @@ def pull_back(item_map: ItemMap, learned: MixtureSource) -> MixtureSource:
     """
     if learned.n != item_map.nprime:
         raise InputError("learned source domain does not match the item map")
-    owner = item_map.copy_owner()
+    owner = np.repeat(np.arange(item_map.n), item_map.splits)  # copy -> its item
     rows = []
     for t in range(learned.k):
         agg = np.bincount(owner, weights=learned.constituents[t], minlength=item_map.n)

@@ -14,9 +14,9 @@ A run whose statistics cannot be fitted ends in ``LearningFailure``;
 ``MatchingFailure`` is the case where the spikes do not reconcile.
 
 Three statistics regimes share the code path.  Each inputs class is its own
-statistics: ``n``, ``mean_distribution``, ``two_snapshot_matrix``,
-``allocate`` (the per-direction sample slots) and ``direction_nbm``, plus a
-``statistics`` tag the manifest records.
+statistics: ``n``, ``subspace`` (the thresholded covariance eigenspace, with
+the mean it is centred on), ``allocate`` (the per-direction sample slots) and
+``direction_nbm``, plus a ``statistics`` tag the manifest records.
 
 - ``OracleInputs`` feeds exact moments everywhere (for calibration
   experiments against a known source);
@@ -26,8 +26,8 @@ statistics: ``n``, ``mean_distribution``, ``two_snapshot_matrix``,
   (2k-1)-snapshot's projected bits are set, each multinomial over cell
   probabilities the oracle regime computes.  No snapshot row is built, so
   the cost is O(n^2) whatever the sample counts;
-- ``SampledInputs`` feeds snapshot batches (data, or rows mapped through the
-  isotropizing reduction).
+- ``SampledInputs`` feeds snapshot batches: data under the identity
+  ``ItemMap``, or the rows that survive the isotropizing reduction.
 
 ``DrawnInputs`` and ``SampledInputs`` give statistics with the same law for
 one direction.  They differ across the matching retries: rows of a test slot
@@ -56,7 +56,7 @@ from .kspike import (
 from .model import InputError, LearningFailure, MixtureSource, check_locations
 from .sampling import RngStream, SnapshotBatch, binarize
 from .spectral import empirical_M, estimate_A, random_basis
-from .isotropize import estimate_r
+from .isotropize import ItemMap, estimate_r, refined_subspace
 
 __all__ = [
     "LearnerConstants",
@@ -258,6 +258,10 @@ class OracleInputs:
     def two_snapshot_matrix(self):
         return self.source.second_moment_matrix()
 
+    def subspace(self, zeta):
+        rtilde = self.mean_distribution()  # drawn before the pair counts
+        return estimate_A(self.two_snapshot_matrix(), rtilde, zeta)
+
     def allocate(self, n_slots):
         return [None] * n_slots
 
@@ -320,20 +324,23 @@ class DrawnInputs(OracleInputs):
 
 @dataclass(frozen=True)
 class SampledInputs:
-    """Snapshot regime: 1-, 2-, and (2k-1)-aperture batches."""
+    """Snapshot regime: 1-, 2-, (2k-1)-aperture rows, learned on ``item_map``'s copies."""
 
     batch1: SnapshotBatch
     batch2: SnapshotBatch
     batch_hi: SnapshotBatch
-    n: int
+    item_map: ItemMap
 
     statistics = "rows"
 
-    def mean_distribution(self):
-        return estimate_r(self.batch1, self.n)
+    @property
+    def n(self):
+        return self.item_map.nprime
 
-    def two_snapshot_matrix(self):
-        return empirical_M(self.batch2, self.n)
+    def subspace(self, zeta):
+        n = self.item_map.n
+        return refined_subspace(self.item_map, empirical_M(self.batch2, n),
+                                estimate_r(self.batch1, n), zeta)
 
     def allocate(self, n_slots):
         # equal sample budget per Learn call
@@ -342,7 +349,8 @@ class SampledInputs:
     def direction_nbm(self, slot, point_values, k, rng):
         if slot.shape[0] == 0:
             raise InputError("empty (2k-1)-snapshot chunk for a direction")
-        bits = binarize(point_values[slot], rng)
+        # point values are equal on an item's copies; read each at its first
+        bits = binarize(point_values[self.item_map.offsets[slot]], rng)
         return empirical_nbm(bits, k), slot.shape[0]
 
 
@@ -416,36 +424,26 @@ def match_spikes(alpha_dirs, zhat_dirs, theta, consts: LearnerConstants) -> Matc
 def simplex_project_l1(phat):
     """An l1-closest point of the probability simplex to ``phat``.
 
-    Combinatorial route: clip negatives, then move the water level.  With
-    surplus mass the level caps coordinates from above; with deficit it
-    raises the small coordinates.  Matches the LP optimum (the optimal cost
-    is sum(max(-phat, 0)) + |sum(max(phat, 0)) - 1|).
+    Clip negatives, then move the water level t: surplus mass caps from
+    above, x = min(q, t), as a raise of -q; deficit raises from below,
+    x = max(q, t).  t is the first level (target - the others' mass) / m
+    that lies between sorted entries m and m + 1 (to 1e-15), or the first
+    below entry m + 1 should rounding leave none.  Matches the LP optimum
+    (cost sum(max(-phat, 0)) + |sum(max(phat, 0)) - 1|).
     """
     phat = np.asarray(phat, dtype=float)
-    n = phat.size
     q = np.maximum(phat, 0.0)
     s = q.sum()
     if abs(s - 1.0) <= 1e-15 and phat.min(initial=0.0) >= 0.0:
         return q
-    if s >= 1.0:
-        # cap from above: x = min(q, t) with sum = 1
-        desc = np.sort(q)[::-1]
-        tail = s - np.cumsum(desc)
-        for m in range(1, n + 1):
-            t = (1.0 - tail[m - 1]) / m
-            lo = desc[m] if m < n else 0.0
-            if lo - 1e-15 <= t <= desc[m - 1] + 1e-15:
-                return np.minimum(q, t)
-        raise AssertionError("water level not found")  # pragma: no cover
-    # raise from below: x = max(q, t) with sum = 1
-    asc = np.sort(q)
-    suffix = s - np.cumsum(asc)
-    for m in range(1, n + 1):
-        t = (1.0 - (suffix[m - 1] if m <= n else 0.0)) / m
-        hi = asc[m] if m < n else math.inf
-        if asc[m - 1] - 1e-15 <= t <= hi + 1e-15:
-            return np.maximum(q, t)
-    raise AssertionError("water level not found")  # pragma: no cover
+    surplus = s >= 1.0
+    sign = -1.0 if surplus else 1.0
+    order = np.sort(sign * q)
+    level = (sign - (sign * s - np.cumsum(order))) / np.arange(1, q.size + 1)
+    fits = level <= np.append(order[1:], 0.0 if surplus else math.inf) + 1e-15
+    held = fits & (order - 1e-15 <= level)
+    m = np.argmax(held) if held.any() else np.argmax(fits)
+    return np.minimum(q, -level[m]) if surplus else np.maximum(q, level[m])
 
 
 @dataclass(frozen=True)
@@ -471,12 +469,10 @@ def learn_mixture(inputs, k, zeta, omega, delta, w_min, rng: RngStream, xi=None)
     mean distribution: the result carries k copies of it with uniform
     weights and the ``degenerate`` flag set.
     """
-    n = inputs.n
-    consts = LearnerConstants(n=n, k=k, zeta=zeta, omega=omega, delta=delta, w_min=w_min)
+    consts = LearnerConstants(n=inputs.n, k=k, zeta=zeta, omega=omega, delta=delta, w_min=w_min)
 
-    rtilde = inputs.mean_distribution()
-    mtilde = inputs.two_snapshot_matrix()
-    sub = estimate_A(mtilde, rtilde, zeta)
+    sub = inputs.subspace(zeta)
+    rtilde = sub.rtilde
     kprime = sub.kprime
     manifest = {
         "constants": consts.as_dict(),

@@ -23,21 +23,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpectralSubspace:
-    """Eigenstructure of the empirical covariance estimate.
+    """Eigenvalues (descending) of the covariance estimate centred on ``rtilde``.
 
-    ``kprime`` counts the eigenvalues at or above ``threshold`` (the explicit
-    rank rule zeta^2 / 2n); ``basis`` holds the retained eigenvectors.
+    ``basis`` holds the eigenvectors of the ``kprime`` eigenvalues at or above
+    ``threshold`` (the explicit rank rule zeta^2 / 2n).  Arrays are read-only.
     """
 
     rtilde: np.ndarray
-    eigenvalues: np.ndarray  # descending, all n of them
-    eigenvectors: np.ndarray  # matching columns
-    kprime: int
+    eigenvalues: np.ndarray  # descending
+    basis: np.ndarray  # retained eigenvectors as columns
     threshold: float
 
+    def __post_init__(self):
+        for a in (self.rtilde, self.eigenvalues, self.basis):
+            a.setflags(write=False)
+
     @property
-    def basis(self):
-        return self.eigenvectors[:, : self.kprime]
+    def kprime(self):
+        return self.basis.shape[1]
 
 
 def empirical_M(batch: SnapshotBatch, n: int):
@@ -74,15 +77,10 @@ def estimate_A(mtilde, rtilde, zeta) -> SpectralSubspace:
     eigenvalues, eigenvectors = jacobi_eigh(b)
     threshold = zeta**2 / (2.0 * n)
     kprime = int(np.sum(eigenvalues >= threshold))
-    rt = rtilde.copy()
-    rt.setflags(write=False)
-    eigenvalues.setflags(write=False)
-    eigenvectors.setflags(write=False)
     return SpectralSubspace(
-        rtilde=rt,
+        rtilde=rtilde.copy(),
         eigenvalues=eigenvalues,
-        eigenvectors=eigenvectors,
-        kprime=kprime,
+        basis=eigenvectors[:, :kprime],
         threshold=float(threshold),
     )
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mixlearn.isotropize import ItemMap
 from mixlearn.model import KSpikeDistribution, MixtureSource
 
 
@@ -15,6 +16,11 @@ def random_spikes(gen, k, min_weight=0.02):
     w = (w + min_weight) / (1.0 + k * min_weight)
     locs = np.sort(gen.random(k))
     return KSpikeDistribution(w, locs)
+
+
+def identity_map(n):
+    """The item map that keeps every item as its one copy."""
+    return ItemMap(sigma=0.0, splits=np.ones(n, dtype=np.int64), offsets=np.arange(n))
 
 
 def two_block_source(n=10, c=0.8, w=(0.5, 0.5)):

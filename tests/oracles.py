@@ -1,11 +1,11 @@
 """Reference implementations the tests check the library against.
 
 Each oracle takes a route independent of the library code it checks
-(enumeration, an LP, exact integers, one row at a time) and is only usable
-at the small sizes the tests give it.  The helpers at the end (moments of a
-spike distribution, projections, the analytic refined source) are what the
-tests build their inputs and expectations from; no run of the library reads
-them.
+(enumeration, an LP, exact integers, a one-at-a-time scan) and is only
+usable at the small sizes the tests give it.  The helpers at the end
+(moments of a spike distribution, projections, the analytic refined source)
+are what the tests build their inputs and expectations from; no run of the
+library reads them.
 """
 
 import math
@@ -100,6 +100,39 @@ def simplex_project_l1_lp(phat):
     b_eq = np.concatenate([phat, [1.0]])
     sol = solve_lp(cost, a_eq=a_eq, b_eq=b_eq)
     return sol.x[:n]
+
+
+def simplex_project_l1_scan(phat):
+    """Scan route for simplex_project_l1: try water levels one count at a time.
+
+    Returns the first level whose bracket holds, as the library's vectorized
+    pass does, or None when rounding leaves no bracket holding.
+    """
+    phat = np.asarray(phat, dtype=float)
+    n = phat.size
+    q = np.maximum(phat, 0.0)
+    s = q.sum()
+    if abs(s - 1.0) <= 1e-15 and phat.min(initial=0.0) >= 0.0:
+        return q
+    if s >= 1.0:
+        # cap from above: x = min(q, t) with sum = 1
+        desc = np.sort(q)[::-1]
+        tail = s - np.cumsum(desc)
+        for m in range(1, n + 1):
+            t = (1.0 - tail[m - 1]) / m
+            lo = desc[m] if m < n else 0.0
+            if lo - 1e-15 <= t <= desc[m - 1] + 1e-15:
+                return np.minimum(q, t)
+        return None
+    # raise from below: x = max(q, t) with sum = 1
+    asc = np.sort(q)
+    suffix = s - np.cumsum(asc)
+    for m in range(1, n + 1):
+        t = (1.0 - suffix[m - 1]) / m
+        hi = asc[m] if m < n else math.inf
+        if asc[m - 1] - 1e-15 <= t <= hi + 1e-15:
+            return np.maximum(q, t)
+    return None
 
 
 def _cap_value(c, v_sorted_desc, v_sq_suffix):
@@ -230,19 +263,6 @@ def hard_pair_lp_value_stepped(k: int, rho: float, m: int) -> float:
     return total / (den**m << (n - 1))
 
 
-def map_snapshot(item_map, row, rng):
-    """Map one snapshot into the refined domain; None if it hits an eliminated item.
-
-    The one-row form of isotropize.map_batch.
-    """
-    row = np.asarray(row, dtype=np.int64)
-    splits = item_map.splits[row]
-    if np.any(splits == 0):
-        return None
-    gen = rng.generator()
-    return item_map.offsets[row] + gen.integers(0, splits)
-
-
 @dataclass(frozen=True)
 class ProjectedDistribution:
     """Discrete distribution on the reals: distinct values with their masses."""
@@ -313,7 +333,7 @@ def refine_source(src: MixtureSource, item_map) -> MixtureSource:
     if src.n != item_map.n:
         raise InputError("source domain does not match the item map")
     keep = ~item_map.eliminated
-    owner = item_map.copy_owner()
+    owner = np.repeat(np.arange(item_map.n), item_map.splits)
     rows = []
     for t in range(src.k):
         p = src.constituents[t]

@@ -37,6 +37,7 @@ from mixlearn.model import (
 )
 from mixlearn.sampling import RngStream, binarize, draw_snapshots
 
+from conftest import identity_map
 from oracles import (
     brute_force_lp,
     learn_kspike,
@@ -128,7 +129,7 @@ def test_criterion_04_sampled_end_to_end():
             b1 = draw_snapshots(src, 1, n_samples, rng.child(1))
             b2 = draw_snapshots(src, 2, n_samples, rng.child(2))
             bh = draw_snapshots(src, 3, n_samples, rng.child(3))
-            res = learn_mixture(SampledInputs(b1, b2, bh, n=100), k=2, zeta=rep.zeta,
+            res = learn_mixture(SampledInputs(b1, b2, bh, identity_map(100)), k=2, zeta=rep.zeta,
                                 omega=4.0, delta=1e-8, w_min=src.w_min, rng=rng.child(5))
             costs.append(mixture_transport(src, res.source).cost)
         medians[n_samples] = float(np.median(costs))

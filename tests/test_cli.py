@@ -25,7 +25,7 @@ from mixlearn.cli import (
     main,
     run_learn,
 )
-from mixlearn.model import MixtureSource, width_report
+from mixlearn.model import MixtureSource, mixture_transport, width_report
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -241,24 +241,57 @@ class TestLearnCommand:
         assert main(argv) == EXIT_CONFIG
         assert f"{name} must be finite" in capsys.readouterr().err
 
-    def test_isotropize_default_sigma_too_fine_exits_3(self, tmp_path, capsys):
-        # the default sigma splits n = 20 items into about 25600 copies, whose
-        # dense 2-snapshot matrix would be a 5.2 GB bincount
-        from mixlearn.isotropize import build_refinement, default_sigma, estimate_r
+    def test_isotropize_default_sigma_runs(self, tmp_path):
+        # the default sigma splits n = 20 items into about 25600 copies; the
+        # learner keeps nprime-long vectors only, never an nprime^2 matrix
+        import tracemalloc
+
+        model = self._model(tmp_path, n=20, k=2, zeta=0.5, seed=3)
+        out = tmp_path / "res.csv"
+        tracemalloc.start()
+        try:
+            rc = main(["learn", "--model", str(model), "--seed", "2", "--samples1", "100000",
+                       "--samples2", "100000", "--samples-hi", "100000", "--isotropize",
+                       "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == EXIT_OK
+        report = json.loads((tmp_path / "res.csv.json").read_text())
+        assert report["survival"]["nprime"] > 4096
+        assert peak <= 64 * 2**20
+
+    def test_isotropize_sigma_too_fine_exits_3(self, tmp_path, capsys):
+        from mixlearn.isotropize import build_refinement, estimate_r
         from mixlearn.sampling import RngStream, draw_snapshots
 
         model = self._model(tmp_path, n=20, k=2, zeta=0.5, seed=3)
         src = MixtureSource.from_json(model.read_text())
-        cfg = ExperimentConfig(n=20, k=2, seed=2, samples1=2000)
-        sigma = default_sigma(cfg.eps, cfg.zeta, cfg.k, src.w_min)
-        batch1 = draw_snapshots(src, 1, cfg.samples1, RngStream(cfg.seed).child(11))
+        sigma = 1e-7
+        batch1 = draw_snapshots(src, 1, 2000, RngStream(2).child(11))
         nprime = build_refinement(estimate_r(batch1, src.n), sigma).nprime
         assert nprime > MAX_NPRIME
         rc = main(["learn", "--model", str(model), "--seed", "2", "--samples1", "2000",
-                   "--samples2", "2000", "--samples-hi", "2000", "--isotropize"])
+                   "--samples2", "2000", "--samples-hi", "2000", "--isotropize",
+                   "--sigma", str(sigma)])
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert f"sigma={sigma!r}" in err and f"nprime={nprime}" in err and "--sigma" in err
+        assert f"sigma={sigma!r}" in err and f"nprime={nprime}" in err
+        assert f"more than {MAX_NPRIME}" in err and "--sigma" in err
+
+    def test_isotropize_learns_every_seed(self):
+        # sigma = 0.25 at n = 20 splits into about 70 copies; learning from
+        # rows relabeled to random copies failed every one of these seeds
+        model = generate_source(ExperimentConfig(n=20, k=2, seed=11, zeta=0.5))
+        trivial = MixtureSource(np.full(2, 0.5), np.tile(model.mean(), (2, 1)))
+        bound = mixture_transport(model, trivial).cost / 10.0
+        for seed in range(20):
+            cfg = ExperimentConfig(n=20, k=2, seed=seed, samples1=100000, samples2=100000,
+                                   samples_hi=100000, zeta=0.5, delta=1e-8, isotropize=True,
+                                   sigma=0.25)
+            report, _ = run_learn(cfg, model)
+            assert report["kprime"] == 1, seed
+            assert report["row"]["tran_dist"] < bound, seed
 
     def test_isotropize_path_runs(self, tmp_path):
         model = self._model(tmp_path, n=8, k=2, zeta=0.5, seed=11)

@@ -7,15 +7,17 @@ from mixlearn.isotropize import (
     ItemMap,
     build_refinement,
     default_sigma,
+    drop_eliminated,
     estimate_r,
-    map_batch,
     pull_back,
+    refined_subspace,
 )
 from mixlearn.model import InputError, MixtureSource, mixture_transport
 from mixlearn.sampling import RngStream, SnapshotBatch, draw_snapshots
+from mixlearn.spectral import estimate_A
 
-from conftest import two_block_source
-from oracles import map_snapshot, refine_source
+from conftest import identity_map, two_block_source
+from oracles import projector_distance, refine_source
 
 
 def batch1(items):
@@ -79,15 +81,12 @@ class TestBuildRefinement:
             build_refinement(np.array([1.0]), sigma=1.5)
 
 
-class TestMapSnapshot:
+class TestDropEliminated:
     def test_eliminated_item_drops_row(self):
-        m = build_refinement(np.array([0.0, 1.0]), sigma=0.25)
-        assert map_snapshot(m, [0, 1], RngStream(0)) is None
-
-    def test_unit_splits_relabel_deterministically(self):
-        m = ItemMap(sigma=0.1, splits=np.array([1, 0, 1]), offsets=np.array([0, 1, 1]))
-        out = map_snapshot(m, [2, 0, 2], RngStream(0))
-        assert np.array_equal(out, [1, 0, 1])
+        m = build_refinement(np.array([0.0, 0.5, 0.5]), sigma=0.25)
+        batch = SnapshotBatch(aperture=2, rows=np.array([[0, 1], [2, 1], [1, 0], [2, 2]]))
+        kept = drop_eliminated(m, batch)
+        assert np.array_equal(kept.rows, [[2, 1], [2, 2]])  # original labels
 
     def test_survival_rate(self):
         # eliminated mass 4*sigma: surviving fraction close to (1 - elim)^m
@@ -99,19 +98,52 @@ class TestMapSnapshot:
         m = build_refinement(rt, sigma=sigma)
         src = MixtureSource(np.ones(1), rt[None, :])
         batch = draw_snapshots(src, 3, 20000, RngStream(1))
-        mapped = map_batch(m, batch, RngStream(2))
-        survive = len(mapped) / len(batch)
+        kept = drop_eliminated(m, batch)
+        survive = len(kept) / len(batch)
         elim_mass = rt[m.eliminated].sum()
         expected = (1.0 - elim_mass) ** 3
         assert survive == pytest.approx(expected, abs=0.02)
         assert survive >= (1.0 - 4 * sigma) ** 3 - 0.02
 
-    def test_mapped_items_in_correct_ranges(self):
-        m = build_refinement(np.array([0.5, 0.5]), sigma=0.25)
-        out = map_snapshot(m, [0, 1, 1], RngStream(3))
-        assert out[0] in range(m.offsets[0], m.offsets[0] + m.splits[0])
-        for v in out[1:]:
-            assert v in range(m.offsets[1], m.offsets[1] + m.splits[1])
+
+def _uneven_source():
+    """Three constituents on 7 items; item 0 is rare, the rest split unevenly."""
+    p = np.array([
+        [0.002, 0.20, 0.30, 0.10, 0.20, 0.05, 0.148],
+        [0.002, 0.05, 0.35, 0.20, 0.25, 0.02, 0.128],
+        [0.002, 0.05, 0.25, 0.15, 0.30, 0.08, 0.168],
+    ])
+    return MixtureSource(np.array([0.3, 0.3, 0.4]), p)
+
+
+class TestRefinedSubspace:
+    def test_matches_explicit_split_on_exact_statistics(self):
+        src = _uneven_source()
+        m = build_refinement(src.mean(), sigma=0.1)
+        assert np.array_equal(m.splits, [0, 6, 20, 10, 17, 3, 10])
+        # the n-item statistics of the rows that survive elimination
+        kept = src.constituents * ~m.eliminated
+        survivors = MixtureSource(src.weights, kept / kept.sum(axis=1, keepdims=True))
+        refined = refine_source(src, m)
+        zeta = 0.15
+        explicit = estimate_A(refined.second_moment_matrix(), refined.mean(), zeta)
+        lifted = refined_subspace(m, survivors.second_moment_matrix(), survivors.mean(), zeta)
+        assert lifted.kprime == explicit.kprime == 2
+        assert lifted.threshold == explicit.threshold
+        # the refined covariance's other nprime - 6 eigenvalues are 0
+        padded = np.sort(np.concatenate([lifted.eigenvalues, np.zeros(m.nprime - 6)]))[::-1]
+        assert np.abs(padded - explicit.eigenvalues).max() <= 1e-12
+        assert projector_distance(lifted.basis, explicit.basis) <= 1e-10
+        assert np.abs(lifted.rtilde - refined.mean()).max() <= 1e-15
+
+    def test_identity_map_is_estimate_A(self):
+        src = _uneven_source()
+        mtilde, rtilde = src.second_moment_matrix(), src.mean()
+        want = estimate_A(mtilde, rtilde, 0.15)
+        got = refined_subspace(identity_map(src.n), mtilde, rtilde, 0.15)
+        assert got.threshold == want.threshold
+        for name in ("rtilde", "eigenvalues", "basis"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 class TestPullBack:

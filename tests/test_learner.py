@@ -23,8 +23,8 @@ from mixlearn.model import MixtureSource, mixture_transport, width_report
 from mixlearn.sampling import RngStream, draw_snapshots
 from mixlearn.spectral import estimate_A, random_basis
 
-from conftest import two_block_source
-from oracles import direction_program_bisection, simplex_project_l1_lp
+from conftest import identity_map, two_block_source
+from oracles import direction_program_bisection, simplex_project_l1_lp, simplex_project_l1_scan
 
 # entries with zeros, ties and both signs; none below 1e-12 in magnitude, where
 # the reference's stand-in for an infinite scale (1e18) would stop clipping them
@@ -176,6 +176,20 @@ class TestSimplexProjectL1:
             assert fast.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.abs(fast - p).sum() == pytest.approx(np.abs(lp - p).sum(), abs=1e-9)
 
+    def test_matches_the_level_scan_bit_for_bit(self, rng):
+        # same arithmetic as the scan, so the same bits; ties and exact zeros
+        # included, and on both sides of unit mass
+        for i in range(2000):
+            n = int(rng.integers(1, 201))
+            p = rng.dirichlet(np.ones(n)) * rng.uniform(0.3, 3.0)
+            if i % 3 == 1:
+                p = p + rng.normal(0.0, 1.0 / n, n)
+            elif i % 3 == 2:
+                p = np.round(p, 3)
+            want = simplex_project_l1_scan(p)
+            assert want is not None
+            assert np.array_equal(simplex_project_l1(p), want)
+
 
 class TestLearnMixture:
     def test_degenerate_k1_returns_mean(self):
@@ -236,7 +250,7 @@ class TestLearnMixture:
         for seed in range(10):
             rng = RngStream(9_000 + seed)
             batch = draw_snapshots(src, 3, 200000, rng.child(1))
-            inputs = SampledInputs(batch, batch, batch, n=50)
+            inputs = SampledInputs(batch, batch, batch, identity_map(50))
             res = learn_direction(v, consts, inputs, batch.rows, rng.child(2))
             errors.append(np.abs(np.sort(res.gammas) - true_projs).max())
         assert np.median(errors) < 0.01
@@ -251,7 +265,7 @@ class TestLearnMixture:
             b1 = draw_snapshots(src, 1, 20000, rng.child(1))
             b2 = draw_snapshots(src, 2, 20000, rng.child(2))
             bh = draw_snapshots(src, 3, 20000, rng.child(3))
-            res = learn_mixture(SampledInputs(b1, b2, bh, n=10), k=2, zeta=rep.zeta,
+            res = learn_mixture(SampledInputs(b1, b2, bh, identity_map(10)), k=2, zeta=rep.zeta,
                                 omega=4.0, delta=1e-8, w_min=src.w_min, rng=rng.child(5))
             return res.source
 
