@@ -42,7 +42,6 @@ from .learner import (
     Matching,
     MatchingFailure,
     OracleInputs,
-    SampledInputs,
     learn_direction,
     learn_mixture,
     match_spikes,

@@ -22,20 +22,17 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .isotropize import build_refinement, default_sigma, drop_eliminated, estimate_r, pull_back
-from .learner import DrawnInputs, MatchingFailure, OracleInputs, SampledInputs, learn_mixture
+from .isotropize import build_refinement, default_sigma, pull_back
+from .learner import DrawnInputs, MatchingFailure, OracleInputs, learn_mixture
 from .lower_bounds import aperture_indistinguishability, hard_pair, sample_lower_bound, tv_snapshot_distance
 from .model import InputError, LearningFailure, MixtureSource, mixture_transport, width_report
+# draw_snapshots is not called here; perfbench/tracing.py patches this name
 from .sampling import RngStream, draw_snapshots
 
 EXIT_OK = 0
 EXIT_LEARNING = 1
 EXIT_IO = 2
 EXIT_CONFIG = 3
-
-# Largest refined domain --isotropize accepts: the learner holds a few
-# nprime-long float vectors, 128 MiB each at 2^24.
-MAX_NPRIME = 1 << 24
 
 CSV_HEADER = "run_id,n,k,N1,N2,Nhi,seed,tran_dist,max_l1_err,max_w_err,wall_ms"
 
@@ -202,11 +199,11 @@ def run_learn(cfg: ExperimentConfig, model: MixtureSource):
     from the statistics of ``samples1``/``samples2``/``samples_hi`` snapshots
     of the model (poissonized counts under ``poisson``), drawn straight from
     their multinomial law without building rows.  With ``isotropize`` the
-    snapshot rows are drawn, the rows holding an item the rare-item reduction
-    eliminates are dropped, the learner works on the split items from the
-    statistics of the rows left, and the learned source is pulled back to the
-    model's items.  The manifest's ``statistics`` key says which of the three
-    ("exact", "drawn", "rows") the run learned from.
+    drawn item counts fix the rare-item reduction, the learner reads the
+    statistics of the snapshots that hold no eliminated item on the split
+    items, and the learned source is pulled back to the model's items.  The
+    manifest's ``statistics`` key says which of "exact" and "drawn" the run
+    learned from.
     """
     rng = RngStream(cfg.seed)
     start = time.perf_counter()
@@ -222,25 +219,16 @@ def run_learn(cfg: ExperimentConfig, model: MixtureSource):
         gen = rng.child(3).generator()
         if cfg.poisson:
             counts = [int(gen.poisson(c)) for c in counts]
+        inputs = DrawnInputs(model, *counts, rng.child(11))
         if cfg.isotropize:
-            batches = [draw_snapshots(model, m, count, rng.child(11 + i))
-                       for i, (m, count) in enumerate(zip((1, 2, 2 * cfg.k - 1), counts))]
             sigma = cfg.sigma if cfg.sigma > 0 else default_sigma(cfg.eps, cfg.zeta, cfg.k, wmin)
-            item_map = build_refinement(estimate_r(batches[0], model.n), sigma)
-            if item_map.nprime > MAX_NPRIME:
-                raise InputError(f"sigma={sigma!r} splits the items into nprime={item_map.nprime} "
-                                 f"copies, more than {MAX_NPRIME}; raise --sigma")
-            batches = [drop_eliminated(item_map, b) for b in batches]
-            survival = {
-                "sigma": sigma,
-                "nprime": item_map.nprime,
-                "survived": [len(b) for b in batches],
-                "drawn": list(counts),
-            }
-            inputs = SampledInputs(*batches, item_map)
+            item_map = build_refinement(inputs.mean_distribution(), sigma)
+            inputs = inputs.isotropized(item_map, cfg.k)
+            survived = [int(inputs.item_counts().sum()), int(inputs.pair_counts().sum()),
+                        inputs.samples_hi]
+            survival = {"sigma": sigma, "nprime": item_map.nprime, "survived": survived,
+                        "drawn": list(counts)}
             zeta = cfg.zeta / 2.0
-        else:
-            inputs = DrawnInputs(model, *counts, rng.child(11))
     result = learn_mixture(inputs, cfg.k, zeta, cfg.omega, cfg.delta, wmin, rng.child(5), xi=xi)
     learned = result.source if item_map is None else pull_back(item_map, result.source)
 

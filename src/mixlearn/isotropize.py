@@ -4,8 +4,9 @@ source's covariance eigenspace, and pull learned constituents back.
 
 An item i with estimated mass rt_i below 2*sigma/n is eliminated; every kept
 item is split into floor(n * rt_i / sigma) copies of equal mass.  Snapshots
-containing an eliminated item are discarded; the others keep their labels,
-as the refined statistics are the n-item ones rescaled (``refined_subspace``).
+containing an eliminated item are discarded; the rest are iid draws of the
+source restricted to the kept items (``learner.DrawnInputs`` draws their
+statistics), and the refined statistics are the n-item ones rescaled.
 """
 
 from __future__ import annotations
@@ -20,14 +21,19 @@ from .sampling import SnapshotBatch
 from .spectral import SpectralSubspace
 
 __all__ = [
+    "MAX_NPRIME",
     "ItemMap",
     "estimate_r",
     "build_refinement",
-    "drop_eliminated",
     "refined_subspace",
     "pull_back",
     "default_sigma",
 ]
+
+
+# Largest refined domain accepted: the learner holds a few nprime-long float
+# vectors, 128 MiB each at 2^24.
+MAX_NPRIME = 1 << 24
 
 
 def default_sigma(eps, zeta, k, w_min):
@@ -77,23 +83,24 @@ def estimate_r(batch: SnapshotBatch, n: int):
 
 
 def build_refinement(rtilde, sigma) -> ItemMap:
-    """Eliminate rare items and split the rest per the floor formula."""
+    """Eliminate rare items and split the rest per the floor formula, checking
+    the copy counts against ``MAX_NPRIME`` before the int64 cast."""
     rtilde = np.asarray(rtilde, dtype=float)
     n = rtilde.size
     if not 0.0 < sigma < 1.0:
         raise InputError("sigma must lie in (0, 1)")
     keep = rtilde >= 2.0 * sigma / n
-    splits = np.where(keep, np.floor(n * rtilde / sigma).astype(np.int64), 0)
-    if splits.sum() == 0:
+    with np.errstate(over="ignore"):  # an overflow is an infinite count, rejected below
+        copies = np.where(keep, np.floor(n * rtilde / sigma), 0.0)
+    nprime = copies.sum()
+    if nprime > MAX_NPRIME:
+        raise InputError(f"sigma={sigma!r} splits the items into nprime={nprime:.15g} "
+                         f"copies, more than {MAX_NPRIME}; raise --sigma")
+    if nprime == 0:
         raise InputError("all items eliminated; sigma too large for this source")
+    splits = copies.astype(np.int64)
     offsets = np.concatenate([[0], np.cumsum(splits)[:-1]])
     return ItemMap(sigma=float(sigma), splits=splits, offsets=offsets)
-
-
-def drop_eliminated(item_map: ItemMap, batch: SnapshotBatch) -> SnapshotBatch:
-    """The rows of ``batch`` that hold no eliminated item, with their original labels."""
-    alive = ~np.any(item_map.eliminated[batch.rows], axis=1)
-    return SnapshotBatch(aperture=batch.aperture, rows=batch.rows[alive], n=item_map.n)
 
 
 def refined_subspace(item_map: ItemMap, mtilde, rtilde, zeta) -> SpectralSubspace:

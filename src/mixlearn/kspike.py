@@ -73,16 +73,10 @@ class MomentVector:
 
 @dataclass(frozen=True)
 class PascalPair:
-    """The size-b binomial matrix Pas_ij = C(b-1-j, i-j) and its exact inverse.
-
-    The inverse carries the same binomials with alternating signs,
-    inv_ij = (-1)^(i-j) C(b-1-j, i-j); pas @ inv is the identity in exact
-    integer arithmetic.
-    """
+    """The size-b binomial matrix Pas_ij = C(b-1-j, i-j), exact in int64."""
 
     b: int
     pas: np.ndarray  # int64, exact
-    inv: np.ndarray  # int64, exact
 
 
 def pascal_pair(b: int) -> PascalPair:
@@ -91,13 +85,10 @@ def pascal_pair(b: int) -> PascalPair:
     if b > MAX_PASCAL_SIZE:
         raise InputError(f"pascal size {b} exceeds the 64-bit-exact limit {MAX_PASCAL_SIZE}")
     pas = np.zeros((b, b), dtype=np.int64)
-    inv = np.zeros((b, b), dtype=np.int64)
     for i in range(b):
         for j in range(i + 1):
-            u = math.comb(b - 1 - j, i - j)
-            pas[i, j] = u
-            inv[i, j] = -u if (i - j) % 2 else u
-    return PascalPair(b=b, pas=pas, inv=inv)
+            pas[i, j] = math.comb(b - 1 - j, i - j)
+    return PascalPair(b=b, pas=pas)
 
 
 @functools.lru_cache(maxsize=None)

@@ -13,10 +13,11 @@ program (least l-inf norm at a given overlap with the direction), which
 A run whose statistics cannot be fitted ends in ``LearningFailure``;
 ``MatchingFailure`` is the case where the spikes do not reconcile.
 
-Three statistics regimes share the code path.  Each inputs class is its own
-statistics: ``n``, ``subspace`` (the thresholded covariance eigenspace, with
-the mean it is centred on), ``allocate`` (the per-direction sample slots) and
-``direction_nbm``, plus a ``statistics`` tag the manifest records.
+Two statistics regimes share the code path.  Each inputs class is its own
+statistics: ``subspace`` (the thresholded covariance eigenspace, with the
+mean it is centred on, over the items the learner works on), ``allocate``
+(the per-direction sample slots) and ``direction_nbm``, plus a
+``statistics`` tag the manifest records.
 
 - ``OracleInputs`` feeds exact moments everywhere (for calibration
   experiments against a known source);
@@ -24,37 +25,34 @@ the mean it is centred on), ``allocate`` (the per-direction sample slots) and
   a known source, drawn straight from its exact sampling law: item counts,
   pair counts and, per direction, the histogram of how many of a
   (2k-1)-snapshot's projected bits are set, each multinomial over cell
-  probabilities the oracle regime computes.  No snapshot row is built, so
-  the cost is O(n^2) whatever the sample counts;
-- ``SampledInputs`` feeds snapshot batches: data under the identity
-  ``ItemMap``, or the rows that survive the isotropizing reduction.
+  probabilities the oracle regime computes.  With an ``ItemMap`` it feeds
+  the statistics of the snapshots the isotropizing reduction keeps, learned
+  on the map's copies.  No snapshot row is built, so the cost is O(n^2)
+  whatever the sample counts.
 
-``DrawnInputs`` and ``SampledInputs`` give statistics with the same law for
-one direction.  They differ across the matching retries: rows of a test slot
-are re-projected on every retry, so the retries' histograms are correlated,
-while drawn histograms are fresh on every call.  This only matters when the
-learner keeps two or more directions (kprime >= 2, so k >= 3 unless noise
-lifts a spurious eigenvalue over the threshold).
+A test direction's histogram is drawn afresh on every matching retry, where
+rows re-projected would be correlated across retries; this only matters for
+kprime >= 2 (k >= 3 unless noise lifts a spurious eigenvalue).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .kspike import (
     MomentVector,
     binom_profile_matrix,
-    empirical_nbm,
     fit_spike_weights,
     learn_kspike_from_nbm,  # not called here; perfbench/tracing.py patches this name
     learn_spike_locations,
     xi_for_sample_count,
 )
 from .model import InputError, LearningFailure, MixtureSource, check_locations
-from .sampling import RngStream, SnapshotBatch, binarize
+# binarize, empirical_M and estimate_r are not called here; perfbench/tracing.py patches these names
+from .sampling import RngStream, binarize
 from .spectral import empirical_M, estimate_A, random_basis
 from .isotropize import ItemMap, estimate_r, refined_subspace
 
@@ -65,7 +63,6 @@ __all__ = [
     "MatchingFailure",
     "OracleInputs",
     "DrawnInputs",
-    "SampledInputs",
     "LearnResult",
     "solve_direction_program",
     "learn_direction",
@@ -248,10 +245,6 @@ class OracleInputs:
 
     statistics = "exact"
 
-    @property
-    def n(self):
-        return self.source.n
-
     def mean_distribution(self):
         return self.source.mean()
 
@@ -284,28 +277,68 @@ class DrawnInputs(OracleInputs):
     (2k-1)-snapshots projected on x is Multinomial(N_slot, C(2k-1, i) nu_i(x)).
     Each ``direction_nbm`` call draws a fresh histogram from the stream it is
     given.
+
+    With ``item_map`` only the snapshots that hold no eliminated item count
+    (see ``isotropized``), and the learner works on the map's copies.  They
+    are iid from the source restricted to the kept items K: their item and
+    pair counts are the draws' counts on K and K x K, and their histogram
+    cells C(m, i) sum_t w_t b_t^i (p_t(K) - b_t)^(m-i), b_t = sum_{j in K} p_tj x_j.
     """
 
     samples1: int
     samples2: int
     samples_hi: int
     rng: RngStream
+    item_map: ItemMap | None = None
 
     statistics = "drawn"
 
-    def mean_distribution(self):
+    @property
+    def _kept(self):
+        return np.full(self.source.n, True) if self.item_map is None else ~self.item_map.eliminated
+
+    def item_counts(self):
+        """The 1-snapshot item counts, 0 on eliminated items."""
         if self.samples1 < 1:
             raise InputError("need at least one 1-snapshot")
         gen = self.rng.child(1).generator()
-        return _multinomial_counts(gen, self.samples1, super().mean_distribution()) / self.samples1
+        return _multinomial_counts(gen, self.samples1, super().mean_distribution()) * self._kept
 
-    def two_snapshot_matrix(self):
+    def pair_counts(self):
+        """The ordered 2-snapshot pair counts, n x n, 0 on pairs with an eliminated item."""
         if self.samples2 < 1:
             raise InputError("need at least one 2-snapshot")
         gen = self.rng.child(2).generator()
         counts = _multinomial_counts(gen, self.samples2, super().two_snapshot_matrix())
-        counts = counts.reshape(self.n, self.n) / self.samples2
+        return counts.reshape(self.source.n, -1) * np.outer(self._kept, self._kept)
+
+    def mean_distribution(self):
+        counts = self.item_counts()
+        return counts / counts.sum()
+
+    def two_snapshot_matrix(self):
+        counts = self.pair_counts()
+        if not counts.any():
+            raise InputError("no 2-snapshot holds only kept items")
+        counts = counts / counts.sum()
         return 0.5 * (counts + counts.T)  # as empirical_M symmetrizes
+
+    def isotropized(self, item_map: ItemMap, k):
+        """These statistics, of the snapshots that hold only items ``item_map`` keeps.
+
+        ``samples_hi`` becomes the (2k-1)-snapshots that survive, drawn as
+        Binomial(N_hi, sum_t w_t p_t(K)^(2k-1)) from a stream of its own.
+        """
+        mass = self.source.constituents[:, ~item_map.eliminated].sum(axis=1)
+        alive = min(float(self.source.weights @ mass ** (2 * k - 1)), 1.0)  # rounding may pass 1
+        survivors = int(self.rng.child(3).generator().binomial(self.samples_hi, alive))
+        return replace(self, samples_hi=survivors, item_map=item_map)
+
+    def subspace(self, zeta):
+        if self.item_map is None:
+            return super().subspace(zeta)
+        return refined_subspace(self.item_map, self.two_snapshot_matrix(),
+                                self.mean_distribution(), zeta)
 
     def allocate(self, n_slots):
         # equal sample budget per Learn call, split as np.array_split splits rows
@@ -315,51 +348,29 @@ class DrawnInputs(OracleInputs):
     def direction_nbm(self, slot, point_values, k, rng):
         if slot < 1:
             raise InputError("empty (2k-1)-snapshot chunk for a direction")
-        nu, _ = super().direction_nbm(None, point_values, k, rng)
         m = 2 * k - 1
+        if self.item_map is None:
+            nu, _ = super().direction_nbm(None, point_values, k, rng)
+            cells = nu.values
+        else:
+            # point values are equal on an item's copies; read each at its first
+            p = self.source.constituents[:, self._kept]
+            mass = p.sum(axis=1)
+            biases = p @ point_values[self.item_map.offsets[self._kept]] / mass
+            cells = (self.source.weights * mass**m) @ binom_profile_matrix(biases, m + 1)
         binom = np.array([math.comb(m, i) for i in range(m + 1)], dtype=float)
-        counts = _multinomial_counts(rng.generator(), slot, binom * nu.values)
+        counts = _multinomial_counts(rng.generator(), slot, binom * cells)
         return MomentVector(kind="nbm", values=counts / (slot * binom), k=k), slot
-
-
-@dataclass(frozen=True)
-class SampledInputs:
-    """Snapshot regime: 1-, 2-, (2k-1)-aperture rows, learned on ``item_map``'s copies."""
-
-    batch1: SnapshotBatch
-    batch2: SnapshotBatch
-    batch_hi: SnapshotBatch
-    item_map: ItemMap
-
-    statistics = "rows"
-
-    @property
-    def n(self):
-        return self.item_map.nprime
-
-    def subspace(self, zeta):
-        n = self.item_map.n
-        return refined_subspace(self.item_map, empirical_M(self.batch2, n),
-                                estimate_r(self.batch1, n), zeta)
-
-    def allocate(self, n_slots):
-        # equal sample budget per Learn call
-        return np.array_split(self.batch_hi.rows, n_slots)
-
-    def direction_nbm(self, slot, point_values, k, rng):
-        if slot.shape[0] == 0:
-            raise InputError("empty (2k-1)-snapshot chunk for a direction")
-        # point values are equal on an item's copies; read each at its first
-        bits = binarize(point_values[self.item_map.offsets[slot]], rng)
-        return empirical_nbm(bits, k), slot.shape[0]
 
 
 def learn_direction(v, consts: LearnerConstants, inputs, slot, rng: RngStream,
                     xi=None) -> DirectionResult:
     """Learn the spike locations of the mixture projected on ``v``.
 
-    Items are mapped to a/(2h) shifted by 1/2 into [0, 1], snapshots are
-    binarized, the locations stage of the 1-D learner runs, and locations
+    Items are mapped to a/(2h) shifted by 1/2 into [0, 1], the inputs give
+    the NBMs of the snapshots projected on these point values (randomized
+    rounding of each point value to a bit), the locations stage of the 1-D
+    learner runs, and locations
     are rescaled by 2h (a.v) around the shift point.  The scale uses the
     tight bound h = ||a||_inf rather than the worst-case constant H (same
     [- 1/2, 1/2] support contract, far better resolution of the projected
@@ -456,7 +467,7 @@ class LearnResult:
 
 
 def learn_mixture(inputs, k, zeta, omega, delta, w_min, rng: RngStream, xi=None) -> LearnResult:
-    """Run the full pipeline on exact, drawn or sampled statistics.
+    """Run the full pipeline on exact or drawn statistics.
 
     Parameters mirror the algorithm inputs: the width parameter ``zeta``,
     confidence scale ``omega``, accuracy scale ``delta``, and the minimum
@@ -469,9 +480,9 @@ def learn_mixture(inputs, k, zeta, omega, delta, w_min, rng: RngStream, xi=None)
     mean distribution: the result carries k copies of it with uniform
     weights and the ``degenerate`` flag set.
     """
-    consts = LearnerConstants(n=inputs.n, k=k, zeta=zeta, omega=omega, delta=delta, w_min=w_min)
-
     sub = inputs.subspace(zeta)
+    consts = LearnerConstants(n=sub.rtilde.size, k=k, zeta=zeta, omega=omega, delta=delta,
+                              w_min=w_min)
     rtilde = sub.rtilde
     kprime = sub.kprime
     manifest = {

@@ -200,11 +200,20 @@ def direction_program_bisection(v, delta, zeta, iterations=60):
     return x / norm
 
 
+def pascal_inverse(b: int) -> np.ndarray:
+    """The claimed exact inverse of ``pascal_pair(b).pas``, int64.
+
+    It carries the same binomials with alternating signs,
+    inv_ij = (-1)^(i-j) C(b-1-j, i-j).
+    """
+    idx = np.arange(b)
+    return pascal_pair(b).pas * np.where((idx[:, None] - idx[None, :]) % 2, -1, 1)
+
+
 def pascal_inverse_identity_exact(b: int) -> bool:
     """Exact integer check that Pas_(b+1) times its claimed inverse is I."""
-    pair = pascal_pair(b + 1)
-    pas = [[int(v) for v in row] for row in pair.pas]
-    inv = [[int(v) for v in row] for row in pair.inv]
+    pas = [[int(v) for v in row] for row in pascal_pair(b + 1).pas]
+    inv = [[int(v) for v in row] for row in pascal_inverse(b + 1)]
     size = b + 1
     for i in range(size):
         for j in range(size):

@@ -22,8 +22,8 @@ from mixlearn.kspike import (
     xi_for_sample_count,
 )
 from mixlearn.learner import (
+    DrawnInputs,
     OracleInputs,
-    SampledInputs,
     learn_mixture,
     simplex_project_l1,
 )
@@ -37,12 +37,12 @@ from mixlearn.model import (
 )
 from mixlearn.sampling import RngStream, binarize, draw_snapshots
 
-from conftest import identity_map
 from oracles import (
     brute_force_lp,
     learn_kspike,
     moments_of,
     nbm_of,
+    pascal_inverse,
     project_snapshot,
     simplex_project_l1_lp,
 )
@@ -126,11 +126,9 @@ def test_criterion_04_sampled_end_to_end():
         costs = []
         for seed in range(20):
             rng = RngStream(52_000 + seed)
-            b1 = draw_snapshots(src, 1, n_samples, rng.child(1))
-            b2 = draw_snapshots(src, 2, n_samples, rng.child(2))
-            bh = draw_snapshots(src, 3, n_samples, rng.child(3))
-            res = learn_mixture(SampledInputs(b1, b2, bh, identity_map(100)), k=2, zeta=rep.zeta,
-                                omega=4.0, delta=1e-8, w_min=src.w_min, rng=rng.child(5))
+            inputs = DrawnInputs(src, n_samples, n_samples, n_samples, rng.child(1))
+            res = learn_mixture(inputs, k=2, zeta=rep.zeta, omega=4.0, delta=1e-8,
+                                w_min=src.w_min, rng=rng.child(5))
             costs.append(mixture_transport(src, res.source).cost)
         medians[n_samples] = float(np.median(costs))
         if n_samples == 10**6:
@@ -198,9 +196,8 @@ def test_criterion_08_pascal_identities():
     gate = _Gate(8, "Pascal inverse exact for b <= 25; g = nu Pas on random spikes", 1.0)
     ok = True
     for b in range(1, 26):
-        pair = pascal_pair(b)
-        pas = [[int(v) for v in row] for row in pair.pas]
-        inv = [[int(v) for v in row] for row in pair.inv]
+        pas = [[int(v) for v in row] for row in pascal_pair(b).pas]
+        inv = [[int(v) for v in row] for row in pascal_inverse(b)]
         for i in range(b):
             for j in range(b):
                 acc = sum(pas[i][l] * inv[l][j] for l in range(b))

@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mixlearn.cli as cli
 import mixlearn.learner as learner
 from mixlearn.cli import (
     CSV_HEADER,
@@ -19,13 +22,15 @@ from mixlearn.cli import (
     EXIT_IO,
     EXIT_LEARNING,
     EXIT_OK,
-    MAX_NPRIME,
     ExperimentConfig,
     generate_source,
     main,
     run_learn,
 )
+from mixlearn.isotropize import MAX_NPRIME
+from mixlearn.learner import DrawnInputs
 from mixlearn.model import MixtureSource, mixture_transport, width_report
+from mixlearn.sampling import RngStream
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -177,7 +182,7 @@ class TestLearnCommand:
         ({"mode": "oracle"}, "exact"),
         ({}, "drawn"),
         ({"poisson": True}, "drawn"),
-        ({"isotropize": True, "sigma": 0.25}, "rows"),
+        ({"isotropize": True, "sigma": 0.25}, "drawn"),
     ])
     def test_manifest_records_statistics(self, overrides, statistics):
         model = generate_source(ExperimentConfig(n=8, k=2, seed=11, zeta=0.5))
@@ -244,8 +249,6 @@ class TestLearnCommand:
     def test_isotropize_default_sigma_runs(self, tmp_path):
         # the default sigma splits n = 20 items into about 25600 copies; the
         # learner keeps nprime-long vectors only, never an nprime^2 matrix
-        import tracemalloc
-
         model = self._model(tmp_path, n=20, k=2, zeta=0.5, seed=3)
         out = tmp_path / "res.csv"
         tracemalloc.start()
@@ -261,15 +264,35 @@ class TestLearnCommand:
         assert report["survival"]["nprime"] > 4096
         assert peak <= 64 * 2**20
 
-    def test_isotropize_sigma_too_fine_exits_3(self, tmp_path, capsys):
-        from mixlearn.isotropize import build_refinement, estimate_r
-        from mixlearn.sampling import RngStream, draw_snapshots
+    def test_isotropize_draws_no_rows(self, tmp_path, monkeypatch):
+        # as rows, 1e9 1-snapshots alone would take 8 GB
+        def no_rows(*args, **kwargs):
+            raise AssertionError("draw_snapshots was called")
 
+        monkeypatch.setattr(cli, "draw_snapshots", no_rows)
+        model = self._model(tmp_path, n=20, k=2, zeta=0.5, seed=3)
+        out = tmp_path / "res.csv"
+        tracemalloc.start()
+        try:
+            rc = main(["learn", "--model", str(model), "--seed", "2", "--samples1", "1000000000",
+                       "--samples2", "1000000000", "--samples-hi", "1000000000", "--isotropize",
+                       "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == EXIT_OK
+        assert peak <= 64 * 2**20
+        survival = json.loads((tmp_path / "res.csv.json").read_text())["survival"]
+        assert survival["drawn"] == [10**9] * 3
+        assert all(0 < kept <= 10**9 for kept in survival["survived"])
+
+    def test_isotropize_sigma_too_fine_exits_3(self, tmp_path, capsys):
         model = self._model(tmp_path, n=20, k=2, zeta=0.5, seed=3)
         src = MixtureSource.from_json(model.read_text())
         sigma = 1e-7
-        batch1 = draw_snapshots(src, 1, 2000, RngStream(2).child(11))
-        nprime = build_refinement(estimate_r(batch1, src.n), sigma).nprime
+        # the run's item counts: its seed's stream 11, as run_learn draws them
+        rt = DrawnInputs(src, 2000, 2000, 2000, RngStream(2).child(11)).mean_distribution()
+        nprime = int(np.floor(src.n * rt[rt >= 2 * sigma / src.n] / sigma).sum())
         assert nprime > MAX_NPRIME
         rc = main(["learn", "--model", str(model), "--seed", "2", "--samples1", "2000",
                    "--samples2", "2000", "--samples-hi", "2000", "--isotropize",
@@ -278,6 +301,19 @@ class TestLearnCommand:
         err = capsys.readouterr().err
         assert f"sigma={sigma!r}" in err and f"nprime={nprime}" in err
         assert f"more than {MAX_NPRIME}" in err and "--sigma" in err
+
+    def test_isotropize_sigma_overflowing_the_cast_exits_3(self, tmp_path, capsys):
+        # floor(n rt / sigma) is about 1e300 copies, past int64: rejected before the cast
+        model = self._model(tmp_path, n=20, k=2, zeta=0.5, seed=3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["learn", "--model", str(model), "--seed", "2", "--samples1", "2000",
+                       "--samples2", "2000", "--samples-hi", "2000", "--isotropize",
+                       "--sigma", "1e-300"])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "sigma=1e-300" in err and f"more than {2**24}" in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_isotropize_learns_every_seed(self):
         # sigma = 0.25 at n = 20 splits into about 70 copies; learning from

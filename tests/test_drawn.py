@@ -2,13 +2,16 @@
 
 The chi-square tests compare drawn item counts, pair counts and bit-sum
 histograms with their exact cell probabilities, and run the same test on
-counts read off snapshot rows as the control.  The end-to-end tests run
+counts read off snapshot rows as the control.  They do so twice: for all
+snapshots, and for the snapshots the isotropizing reduction keeps, where the
+rows control applies the drop rule itself.  The end-to-end tests run
 ``run_learn`` in sampled mode, which learns from drawn statistics.
 """
 
 import json
 import math
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixlearn.cli import ExperimentConfig, generate_source, run_learn
-from mixlearn.isotropize import estimate_r
+from mixlearn.isotropize import build_refinement, estimate_r
 from mixlearn.kspike import empirical_nbm
 from mixlearn.learner import DrawnInputs, OracleInputs
 from mixlearn.model import InputError, LearningFailure, MixtureSource, mixture_transport, width_report
@@ -32,6 +35,16 @@ Z_FALSE_ALARM = 3.0902  # upper 1e-3 point of the standard normal
 SOURCE = MixtureSource(np.array([0.3, 0.7]),
                        np.array([[0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4]]))
 SWAPPED = MixtureSource(SOURCE.weights[::-1].copy(), SOURCE.constituents.copy())
+
+# item 0 is rare: its mean mass 0.0607 is below the 2 sigma / n = 0.08 cut.  It
+# holds a fifth of the first constituent, so that constituent's snapshots
+# survive far less often than the second's, and the law given survival is
+# far from the law of all snapshots.
+RARE = MixtureSource(np.array([0.3, 0.7]),
+                     np.array([[0.2, 0.3, 0.25, 0.15, 0.1], [0.001, 0.1, 0.2, 0.3, 0.399]]))
+RARE_SWAPPED = MixtureSource(RARE.weights[::-1].copy(), RARE.constituents.copy())
+RARE_MAP = build_refinement(RARE.mean(), 0.2)
+RARE_POINT_VALUES = np.array([0.5, 0.1, 0.4, 0.7, 0.95])
 
 
 def _binom():
@@ -94,9 +107,79 @@ def pooled_chi_square(counts_per_seed, probs):
     return stat, dof * (1.0 - c + Z_FALSE_ALARM * math.sqrt(c)) ** 3
 
 
+def isotropized_cell_probabilities(src):
+    """Exact cells of the three statistics of the snapshots ``RARE_MAP`` keeps.
+
+    Each statistic's cells over the kept items, then one cell for the
+    snapshots dropped; the bit-sum cells enumerate every (2k-1)-tuple of items
+    and every bit pattern.
+    """
+    kept = ~RARE_MAP.eliminated
+    items = src.mean()[kept]
+    pairs = _unordered(src.second_moment_matrix()[np.ix_(kept, kept)])
+    bits = np.zeros(2 * K)
+    for t, tup in product(range(src.k), product(np.flatnonzero(kept), repeat=2 * K - 1)):
+        mass = src.weights[t] * np.prod(src.constituents[t, list(tup)])
+        x = RARE_POINT_VALUES[list(tup)]
+        for pattern in product((0, 1), repeat=2 * K - 1):
+            bits[sum(pattern)] += mass * np.prod(np.where(pattern, x, 1.0 - x))
+    return {name: np.append(c, 1.0 - c.sum())
+            for name, c in (("items", items), ("pairs", pairs), ("bits", bits))}
+
+
+def _with_dropped(counts):
+    return np.append(counts, SAMPLES - counts.sum())
+
+
+def _unordered_kept(ordered):
+    """Unordered pair cells over the kept items of an ordered n x n count matrix."""
+    kept = ~RARE_MAP.eliminated
+    ordered = ordered[np.ix_(kept, kept)]
+    return _unordered(0.5 * (ordered + ordered.T))
+
+
+def isotropized_drawn_counts(seed):
+    rng = RngStream(seed)
+    stats = DrawnInputs(RARE, SAMPLES, SAMPLES, SAMPLES, rng.child(0)).isotropized(RARE_MAP, K)
+    (slot,) = stats.allocate(1)
+    copies = np.repeat(RARE_POINT_VALUES, RARE_MAP.splits)  # the learner's point values
+    nu, _ = stats.direction_nbm(slot, copies, K, rng.child(1))
+    kept = ~RARE_MAP.eliminated
+    return {
+        "items": _with_dropped(stats.item_counts()[kept]),
+        "pairs": _with_dropped(_unordered_kept(stats.pair_counts())),
+        "bits": _with_dropped(nu.values * _binom() * slot),
+    }
+
+
+def drop_eliminated(rows):
+    """The drop rule: a snapshot that holds an eliminated item is discarded."""
+    return rows[~RARE_MAP.eliminated[rows].any(axis=1)]
+
+
+def isotropized_row_counts(seed):
+    rng = RngStream(seed)
+    ones, twos, his = (drop_eliminated(draw_snapshots(RARE, m, SAMPLES, rng.child(m)).rows)
+                       for m in (1, 2, 2 * K - 1))
+    pairs = np.zeros((RARE.n, RARE.n))
+    np.add.at(pairs, (twos[:, 0], twos[:, 1]), 1.0)
+    bits = binarize(RARE_POINT_VALUES[his], rng.child(4))
+    return {
+        "items": _with_dropped(np.bincount(ones.ravel(), minlength=RARE.n)[~RARE_MAP.eliminated]),
+        "pairs": _with_dropped(_unordered_kept(pairs)),
+        "bits": _with_dropped(np.bincount(bits.sum(axis=1), minlength=2 * K)),
+    }
+
+
 @pytest.fixture(scope="module")
 def draws():
     return {"drawn": [drawn_counts(s) for s in SEEDS], "rows": [row_counts(s) for s in SEEDS]}
+
+
+@pytest.fixture(scope="module")
+def isotropized_draws():
+    return {"drawn": [isotropized_drawn_counts(s) for s in SEEDS],
+            "rows": [isotropized_row_counts(s) for s in SEEDS]}
 
 
 @pytest.mark.parametrize("statistic", ["items", "pairs", "bits"])
@@ -113,6 +196,37 @@ def test_chi_square_rejects_a_wrong_law(draws, statistic):
     probs = cell_probabilities(SWAPPED)[statistic]
     stat, threshold = pooled_chi_square([d[statistic] for d in draws["drawn"]], probs)
     assert stat > threshold
+
+
+@pytest.mark.parametrize("statistic", ["items", "pairs", "bits"])
+@pytest.mark.parametrize("path", ["drawn", "rows"])
+def test_isotropized_counts_follow_exact_cell_law(isotropized_draws, path, statistic):
+    probs = isotropized_cell_probabilities(RARE)[statistic]
+    stat, threshold = pooled_chi_square([d[statistic] for d in isotropized_draws[path]], probs)
+    assert stat <= threshold, f"{path} {statistic}: chi-square {stat:.1f} > {threshold:.1f}"
+
+
+@pytest.mark.parametrize("statistic", ["items", "pairs", "bits"])
+def test_isotropized_chi_square_rejects_a_wrong_law(isotropized_draws, statistic):
+    probs = isotropized_cell_probabilities(RARE_SWAPPED)[statistic]
+    stat, threshold = pooled_chi_square([d[statistic] for d in isotropized_draws["drawn"]], probs)
+    assert stat > threshold
+
+
+def test_isotropized_statistics_are_normalized_on_the_kept_items():
+    stats = DrawnInputs(RARE, SAMPLES, SAMPLES, SAMPLES, RngStream(0)).isotropized(RARE_MAP, K)
+    gone = RARE_MAP.eliminated
+    r, m = stats.mean_distribution(), stats.two_snapshot_matrix()
+    assert stats.subspace(0.5).rtilde.size == RARE_MAP.nprime  # the learner's domain: the copies
+    assert not r[gone].any() and not m[gone].any() and not m[:, gone].any()
+    assert r.sum() == pytest.approx(1.0) and m.sum() == pytest.approx(1.0)
+    assert np.array_equal(m, m.T)
+
+
+def test_drop_rule_discards_rows_with_an_eliminated_item():
+    assert RARE_MAP.eliminated.tolist() == [True, False, False, False, False]
+    rows = np.array([[0, 1], [2, 1], [1, 0], [2, 2], [0, 0]])
+    assert np.array_equal(drop_eliminated(rows), [[2, 1], [2, 2]])  # original labels
 
 
 def test_each_direction_call_draws_a_fresh_histogram():

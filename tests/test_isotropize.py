@@ -7,7 +7,6 @@ from mixlearn.isotropize import (
     ItemMap,
     build_refinement,
     default_sigma,
-    drop_eliminated,
     estimate_r,
     pull_back,
     refined_subspace,
@@ -79,31 +78,6 @@ class TestBuildRefinement:
     def test_sigma_range_validated(self):
         with pytest.raises(InputError):
             build_refinement(np.array([1.0]), sigma=1.5)
-
-
-class TestDropEliminated:
-    def test_eliminated_item_drops_row(self):
-        m = build_refinement(np.array([0.0, 0.5, 0.5]), sigma=0.25)
-        batch = SnapshotBatch(aperture=2, rows=np.array([[0, 1], [2, 1], [1, 0], [2, 2]]))
-        kept = drop_eliminated(m, batch)
-        assert np.array_equal(kept.rows, [[2, 1], [2, 2]])  # original labels
-
-    def test_survival_rate(self):
-        # eliminated mass 4*sigma: surviving fraction close to (1 - elim)^m
-        sigma = 0.05
-        n = 20
-        rt = np.full(n, 1.0 / n)
-        rt[:2] = sigma / n  # below the 2*sigma/n cut
-        rt /= rt.sum()
-        m = build_refinement(rt, sigma=sigma)
-        src = MixtureSource(np.ones(1), rt[None, :])
-        batch = draw_snapshots(src, 3, 20000, RngStream(1))
-        kept = drop_eliminated(m, batch)
-        survive = len(kept) / len(batch)
-        elim_mass = rt[m.eliminated].sum()
-        expected = (1.0 - elim_mass) ** 3
-        assert survive == pytest.approx(expected, abs=0.02)
-        assert survive >= (1.0 - 4 * sigma) ** 3 - 0.02
 
 
 def _uneven_source():

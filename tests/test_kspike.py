@@ -26,7 +26,7 @@ from mixlearn.model import InputError, KSpikeDistribution, LearningFailure, spik
 from mixlearn.sampling import RngStream
 
 from conftest import random_spikes
-from oracles import learn_kspike, moments_of, nbm_of
+from oracles import learn_kspike, moments_of, nbm_of, pascal_inverse
 
 
 def spikes(w, a):
@@ -94,9 +94,8 @@ class TestPascal:
 
     def test_inverse_identity_exact_integers(self):
         for b in range(1, 26):
-            pair = pascal_pair(b)
-            pas = [[int(v) for v in row] for row in pair.pas]
-            inv = [[int(v) for v in row] for row in pair.inv]
+            pas = [[int(v) for v in row] for row in pascal_pair(b).pas]
+            inv = [[int(v) for v in row] for row in pascal_inverse(b)]
             for i in range(b):
                 for j in range(b):
                     acc = sum(pas[i][l] * inv[l][j] for l in range(b))
@@ -400,7 +399,7 @@ class TestLearnKSpike:
 
     def test_negative_variance_is_a_learning_failure(self):
         # raw moments 1, 0.5, 0.2: g_2 - g_1^2 < 0, so there is no spread to scale by
-        nu = MomentVector(kind="nbm", values=np.array([1.0, 0.5, 0.2, 0.1]) @ pascal_pair(4).inv, k=2)
+        nu = MomentVector(kind="nbm", values=np.array([1.0, 0.5, 0.2, 0.1]) @ pascal_inverse(4), k=2)
         with pytest.raises(LearningFailure, match="variance"):
             learn_spike_locations(nu, 1e-12)
 

@@ -13,17 +13,16 @@ from mixlearn.learner import (
     Matching,
     MatchingFailure,
     OracleInputs,
-    SampledInputs,
     learn_mixture,
     match_spikes,
     simplex_project_l1,
     solve_direction_program,
 )
 from mixlearn.model import MixtureSource, mixture_transport, width_report
-from mixlearn.sampling import RngStream, draw_snapshots
+from mixlearn.sampling import RngStream
 from mixlearn.spectral import estimate_A, random_basis
 
-from conftest import identity_map, two_block_source
+from conftest import two_block_source
 from oracles import direction_program_bisection, simplex_project_l1_lp, simplex_project_l1_scan
 
 # entries with zeros, ties and both signs; none below 1e-12 in magnitude, where
@@ -249,9 +248,8 @@ class TestLearnMixture:
         errors = []
         for seed in range(10):
             rng = RngStream(9_000 + seed)
-            batch = draw_snapshots(src, 3, 200000, rng.child(1))
-            inputs = SampledInputs(batch, batch, batch, identity_map(50))
-            res = learn_direction(v, consts, inputs, batch.rows, rng.child(2))
+            inputs = DrawnInputs(src, 200000, 200000, 200000, rng.child(1))
+            res = learn_direction(v, consts, inputs, 200000, rng.child(2))
             errors.append(np.abs(np.sort(res.gammas) - true_projs).max())
         assert np.median(errors) < 0.01
         assert np.quantile(errors, 0.9) < 0.05
@@ -262,11 +260,9 @@ class TestLearnMixture:
 
         def run():
             rng = RngStream(77)
-            b1 = draw_snapshots(src, 1, 20000, rng.child(1))
-            b2 = draw_snapshots(src, 2, 20000, rng.child(2))
-            bh = draw_snapshots(src, 3, 20000, rng.child(3))
-            res = learn_mixture(SampledInputs(b1, b2, bh, identity_map(10)), k=2, zeta=rep.zeta,
-                                omega=4.0, delta=1e-8, w_min=src.w_min, rng=rng.child(5))
+            res = learn_mixture(DrawnInputs(src, 20000, 20000, 20000, rng.child(1)), k=2,
+                                zeta=rep.zeta, omega=4.0, delta=1e-8, w_min=src.w_min,
+                                rng=rng.child(5))
             return res.source
 
         a, b = run(), run()

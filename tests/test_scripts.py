@@ -28,3 +28,11 @@ def test_run_end_to_end_script_smoke():
     assert lines[0].startswith("run_id,n,k,N1,N2,Nhi,seed,tran_dist")
     assert len(lines) <= 2  # one row per run that succeeded
     assert "# N=10000: median transport" in out.stderr
+
+
+def test_isotropize_sweep_script_smoke():
+    out = _run_script("isotropize_sweep.py", "--n", "20", "--sizes", "1e6", "--seeds", "1")
+    lines = out.stdout.strip().splitlines()
+    assert lines[0].startswith("n = 20, zeta = ")
+    assert lines[1] == "| N | drawn | `--isotropize` |"
+    assert len(lines) == 4 and lines[3].startswith("| 1e+06 | ")
