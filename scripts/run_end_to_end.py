@@ -25,8 +25,6 @@ def main():
     ap.add_argument("--n", type=int, default=100)
     ap.add_argument("--k", type=int, default=2)
     ap.add_argument("--zeta", type=float, default=0.5)
-    ap.add_argument("--omega", type=float, default=4.0)
-    ap.add_argument("--delta", type=float, default=1e-8)
     ap.add_argument("--source-seed", type=int, default=9)
     ap.add_argument("--sizes", type=int, nargs="+", default=[10**4, 10**5, 10**6])
     ap.add_argument("--seeds", type=int, default=20)
@@ -35,7 +33,7 @@ def main():
     args = ap.parse_args()
 
     base = ExperimentConfig(n=args.n, k=args.k, seed=args.source_seed, zeta=args.zeta,
-                            omega=args.omega, delta=args.delta, mode=args.mode)
+                            mode=args.mode)
     source = generate_source(base)
     rep = width_report(source)
     print(f"# source: n={args.n} k={args.k} zeta={rep.zeta:.3f} wmin={source.w_min:.3f}",
@@ -46,8 +44,7 @@ def main():
         costs = []
         failed = 0
         for seed in range(args.seeds):
-            cfg = ExperimentConfig(n=args.n, k=args.k, seed=seed, zeta=rep.zeta,
-                                   omega=args.omega, delta=args.delta, mode=args.mode,
+            cfg = ExperimentConfig(n=args.n, k=args.k, seed=seed, zeta=rep.zeta, mode=args.mode,
                                    samples1=size, samples2=size, samples_hi=size)
             try:
                 report, _ = run_learn(cfg, source)

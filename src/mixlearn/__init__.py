@@ -46,7 +46,6 @@ from .learner import (
     learn_mixture,
     match_spikes,
     simplex_project_l1,
-    solve_direction_program,
 )
 from .lower_bounds import HardPair, aperture_indistinguishability, hard_pair, sample_lower_bound, tv_snapshot_distance
 

@@ -46,8 +46,6 @@ class ExperimentConfig:
     samples2: int = 100000
     samples_hi: int = 100000
     zeta: float = 0.5
-    omega: float = 4.0
-    delta: float = 1e-8
     varsigma: float = 0.0  # 0 means: derive xi from the sample count
     wmin: float = 0.0  # 0 means: read from the model when available
     mode: str = "sampled"  # 'oracle' | 'sampled'
@@ -63,14 +61,13 @@ class ExperimentConfig:
                 raise InputError(f"{f.name} must be finite (got {value!r})")
         if self.n < 1 or self.k < 1:
             raise InputError("n and k must be positive")
-        if min(self.samples1, self.samples2, self.samples_hi) < 0:
-            raise InputError("sample counts must be nonnegative")
         if self.mode not in ("oracle", "sampled"):
             raise InputError(f"unknown mode {self.mode!r}")
+        least = 1 if self.mode == "sampled" else 0  # oracle mode reads no count
+        if min(self.samples1, self.samples2, self.samples_hi) < least:
+            raise InputError(f"sample counts must be at least {least} in {self.mode} mode")
         if not 0.0 < self.zeta <= 1.0:
             raise InputError("zeta must lie in (0, 1]")
-        if self.omega < 1.0 or self.delta <= 0.0:
-            raise InputError("omega must be >= 1 and delta positive")
         if self.varsigma > 1.0:  # xi = varsigma^(8k^2) is a moment accuracy, at most 1
             raise InputError(f"varsigma must be at most 1 (got {self.varsigma!r})")
 
@@ -207,7 +204,6 @@ def run_learn(cfg: ExperimentConfig, model: MixtureSource):
     """
     rng = RngStream(cfg.seed)
     start = time.perf_counter()
-    wmin = cfg.wmin if cfg.wmin > 0 else model.w_min
     xi = cfg.varsigma ** (8 * cfg.k**2) if cfg.varsigma > 0 else None
     counts = [cfg.samples1, cfg.samples2, cfg.samples_hi]  # sampled mode reports the counts drawn
     item_map = survival = None
@@ -221,6 +217,7 @@ def run_learn(cfg: ExperimentConfig, model: MixtureSource):
             counts = [int(gen.poisson(c)) for c in counts]
         inputs = DrawnInputs(model, *counts, rng.child(11))
         if cfg.isotropize:
+            wmin = cfg.wmin if cfg.wmin > 0 else model.w_min
             sigma = cfg.sigma if cfg.sigma > 0 else default_sigma(cfg.eps, cfg.zeta, cfg.k, wmin)
             item_map = build_refinement(inputs.mean_distribution(), sigma)
             inputs = inputs.isotropized(item_map, cfg.k)
@@ -229,7 +226,7 @@ def run_learn(cfg: ExperimentConfig, model: MixtureSource):
             survival = {"sigma": sigma, "nprime": item_map.nprime, "survived": survived,
                         "drawn": list(counts)}
             zeta = cfg.zeta / 2.0
-    result = learn_mixture(inputs, cfg.k, zeta, cfg.omega, cfg.delta, wmin, rng.child(5), xi=xi)
+    result = learn_mixture(inputs, cfg.k, zeta, rng.child(5), xi=xi)
     learned = result.source if item_map is None else pull_back(item_map, result.source)
 
     wall_ms = int(1000 * (time.perf_counter() - start))
@@ -363,8 +360,6 @@ def _add_common(p):
     p.add_argument("--samples2", type=int)
     p.add_argument("--samples-hi", dest="samples_hi", type=int)
     p.add_argument("--zeta", type=float)
-    p.add_argument("--omega", type=float)
-    p.add_argument("--delta", type=float)
     p.add_argument("--varsigma", type=float)
     p.add_argument("--wmin", type=float)
     p.add_argument("--eps", type=float)
@@ -376,8 +371,16 @@ def _add_common(p):
     p.add_argument("--out")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error (unknown flag, bad value) is an invalid config, not argparse's exit 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="mixlearn", description=__doc__)
+    parser = _Parser(prog="mixlearn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("generate", help="emit a random wide isotropic source")
@@ -400,9 +403,8 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)  # -h exits 0 from here
         return args.func(args)
     except InputError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)

@@ -6,9 +6,10 @@ a random orthonormal basis of that space (and on rotated test directions),
 reconcile the per-direction spikes into k points, and project each point onto
 the simplex in l1.  Matching reads only spike locations, so a direction's
 spike weights are fitted only for the basis directions, once matching has
-succeeded.  Each direction is first flattened by the direction
-program (least l-inf norm at a given overlap with the direction), which
-``solve_direction_program`` solves exactly in closed form.
+succeeded.  Each direction is learned on the basis vector itself, not
+flattened first by the paper's direction program (least l-inf norm at an
+overlap 1 - 4 delta/zeta^2 with the direction): a flattened a reports
+projections on a, which the reconstruction would read as projections on v.
 
 A run whose statistics cannot be fitted ends in ``LearningFailure``;
 ``MatchingFailure`` is the case where the spikes do not reconcile.
@@ -64,7 +65,6 @@ __all__ = [
     "OracleInputs",
     "DrawnInputs",
     "LearnResult",
-    "solve_direction_program",
     "learn_direction",
     "match_spikes",
     "simplex_project_l1",
@@ -72,6 +72,7 @@ __all__ = [
 ]
 
 MATCH_RETRIES = 8  # test angles tried before matching gives up
+OMEGA = 4.0  # the analysis's confidence scale; sets T and L, so the matching tolerance
 
 
 @dataclass(frozen=True)
@@ -81,61 +82,28 @@ class LearnerConstants:
     n: int
     k: int
     zeta: float
-    omega: float
-    delta: float
-    w_min: float
 
     def __post_init__(self):
         if self.n < 1 or self.k < 1:
             raise InputError("n and k must be positive")
         if not 0.0 < self.zeta <= 1.0:
             raise InputError("zeta must lie in (0, 1]")
-        if self.omega < 1.0:
-            raise InputError("omega must be at least 1")
-        if self.delta <= 0.0:
-            raise InputError("delta must be positive")
-        if not 0.0 < self.w_min <= 1.0:
-            raise InputError("w_min must lie in (0, 1]")
 
     @property
     def T(self):
-        return 3.0 * self.omega * self.k**4
-
-    @property
-    def H(self):
-        return 4.0 / (self.w_min**2 * self.zeta * math.sqrt(self.n))
+        return 3.0 * OMEGA * self.k**4
 
     @property
     def L(self):
-        return self.zeta / (64.0 * self.omega**1.5 * self.k**4 * math.sqrt(self.n))
+        return self.zeta / (64.0 * OMEGA**1.5 * self.k**4 * math.sqrt(self.n))
 
     @property
     def match_tol(self):
         return (math.sqrt(2.0) + 1.0) * self.L / (2.0 + 5.0 * self.T)
 
-    @property
-    def delta_bound(self):
-        return self.w_min**3 * self.zeta**4 / (2.0**29 * self.omega**5 * self.k**16)
-
-    @property
-    def delta_ok(self):
-        """Whether delta meets the conservative analysis bound (advisory)."""
-        return self.delta <= self.delta_bound
-
     def as_dict(self):
-        return {
-            "n": self.n,
-            "k": self.k,
-            "zeta": self.zeta,
-            "omega": self.omega,
-            "delta": self.delta,
-            "w_min": self.w_min,
-            "T": self.T,
-            "H": self.H,
-            "L": self.L,
-            "match_tol": self.match_tol,
-            "delta_ok": self.delta_ok,
-        }
+        return {"n": self.n, "k": self.k, "zeta": self.zeta, "T": self.T, "L": self.L,
+                "match_tol": self.match_tol}
 
 
 class MatchingFailure(LearningFailure):
@@ -147,8 +115,8 @@ class DirectionResult:
     """Spike locations of the mixture's projection on one direction.
 
     ``locations`` lives in the learner's [0, 1] frame; the projections of the
-    constituents on the direction are recovered affinely as
-    ``scale * location + offset`` (see ``gammas``).  ``moments`` are the raw
+    constituents on the direction are recovered as
+    ``scale * (location - 1/2)`` (see ``gammas``).  ``moments`` are the raw
     moments the locations were learned from, which ``fit_spike_weights``
     fits the weights to.
     """
@@ -156,14 +124,13 @@ class DirectionResult:
     moments: MomentVector
     locations: np.ndarray
     scale: float
-    offset: float
 
     def __post_init__(self):
         object.__setattr__(self, "locations", check_locations(self.locations))
 
     @property
     def gammas(self):
-        return self.scale * self.locations + self.offset
+        return self.scale * (self.locations - 0.5)
 
 
 @dataclass(frozen=True)
@@ -177,6 +144,7 @@ class Matching:
     assignments: np.ndarray  # (kprime - 1, k)
 
 
+# not called here; perfbench/tracing.py patches this name
 def solve_direction_program(v, delta, zeta):
     """Minimize ||x||_inf over { v.x >= 1 - 4 delta/zeta^2, ||x||_2 <= 1 }, exactly.
 
@@ -300,14 +268,14 @@ class DrawnInputs(OracleInputs):
     def item_counts(self):
         """The 1-snapshot item counts, 0 on eliminated items."""
         if self.samples1 < 1:
-            raise InputError("need at least one 1-snapshot")
+            raise LearningFailure("no 1-snapshot was drawn")
         gen = self.rng.child(1).generator()
         return _multinomial_counts(gen, self.samples1, super().mean_distribution()) * self._kept
 
     def pair_counts(self):
         """The ordered 2-snapshot pair counts, n x n, 0 on pairs with an eliminated item."""
         if self.samples2 < 1:
-            raise InputError("need at least one 2-snapshot")
+            raise LearningFailure("no 2-snapshot was drawn")
         gen = self.rng.child(2).generator()
         counts = _multinomial_counts(gen, self.samples2, super().two_snapshot_matrix())
         return counts.reshape(self.source.n, -1) * np.outer(self._kept, self._kept)
@@ -319,7 +287,7 @@ class DrawnInputs(OracleInputs):
     def two_snapshot_matrix(self):
         counts = self.pair_counts()
         if not counts.any():
-            raise InputError("no 2-snapshot holds only kept items")
+            raise LearningFailure("no 2-snapshot holds only kept items")
         counts = counts / counts.sum()
         return 0.5 * (counts + counts.T)  # as empirical_M symmetrizes
 
@@ -347,7 +315,7 @@ class DrawnInputs(OracleInputs):
 
     def direction_nbm(self, slot, point_values, k, rng):
         if slot < 1:
-            raise InputError("empty (2k-1)-snapshot chunk for a direction")
+            raise LearningFailure("empty (2k-1)-snapshot chunk for a direction")
         m = 2 * k - 1
         if self.item_map is None:
             nu, _ = super().direction_nbm(None, point_values, k, rng)
@@ -365,26 +333,23 @@ class DrawnInputs(OracleInputs):
 
 def learn_direction(v, consts: LearnerConstants, inputs, slot, rng: RngStream,
                     xi=None) -> DirectionResult:
-    """Learn the spike locations of the mixture projected on ``v``.
+    """Learn the spike locations of the mixture projected on the unit vector ``v``.
 
-    Items are mapped to a/(2h) shifted by 1/2 into [0, 1], the inputs give
-    the NBMs of the snapshots projected on these point values (randomized
-    rounding of each point value to a bit), the locations stage of the 1-D
-    learner runs, and locations
-    are rescaled by 2h (a.v) around the shift point.  The scale uses the
-    tight bound h = ||a||_inf rather than the worst-case constant H (same
-    [- 1/2, 1/2] support contract, far better resolution of the projected
-    spikes).
+    Items are mapped to v/(2h) shifted by 1/2 into [0, 1], with h = ||v||_inf,
+    the inputs give the NBMs of the snapshots projected on these point values
+    (randomized rounding of each point value to a bit), the locations stage of
+    the 1-D learner runs, and locations are rescaled by 2h around the shift
+    point.  The tight scale h, rather than the paper's worst-case constant H,
+    keeps the same [-1/2, 1/2] support contract and resolves the projected
+    spikes far better.
     """
-    a = solve_direction_program(v, consts.delta, consts.zeta)
-    h = max(float(np.abs(a).max()), 1e-12)
-    point_values = np.clip(a / (2.0 * h) + 0.5, 0.0, 1.0)
+    h = float(np.abs(v).max())
+    point_values = v / (2.0 * h) + 0.5  # in [0, 1] exactly: |v_i| <= h, and 0.5 is a double
     nu, n_samples = inputs.direction_nbm(slot, point_values, consts.k, rng)
     if xi is None:
         xi = 1e-12 if n_samples is None else xi_for_sample_count(consts.k, n_samples)
     moments, locations = learn_spike_locations(nu, xi)
-    scale = 2.0 * h * float(np.dot(a, v))
-    return DirectionResult(moments=moments, locations=locations, scale=scale, offset=-0.5 * scale)
+    return DirectionResult(moments=moments, locations=locations, scale=2.0 * h)
 
 
 def _min_gap(values):
@@ -466,14 +431,12 @@ class LearnResult:
     manifest: dict = field(default_factory=dict)
 
 
-def learn_mixture(inputs, k, zeta, omega, delta, w_min, rng: RngStream, xi=None) -> LearnResult:
+def learn_mixture(inputs, k, zeta, rng: RngStream, xi=None) -> LearnResult:
     """Run the full pipeline on exact or drawn statistics.
 
-    Parameters mirror the algorithm inputs: the width parameter ``zeta``,
-    confidence scale ``omega``, accuracy scale ``delta``, and the minimum
-    mixture weight ``w_min`` (an input; blind estimation of it is not
-    supported).  ``xi`` overrides the 1-D learner's moment-accuracy
-    parameter; by default it is derived from the per-direction sample count.
+    ``zeta`` is the width parameter of the source.  ``xi`` overrides the 1-D
+    learner's moment-accuracy parameter; by default it is derived from the
+    per-direction sample count.
     Matching gets ``MATCH_RETRIES`` test angles.
 
     For a degenerate spectrum (kprime = 0) the best available answer is the
@@ -481,8 +444,7 @@ def learn_mixture(inputs, k, zeta, omega, delta, w_min, rng: RngStream, xi=None)
     weights and the ``degenerate`` flag set.
     """
     sub = inputs.subspace(zeta)
-    consts = LearnerConstants(n=sub.rtilde.size, k=k, zeta=zeta, omega=omega, delta=delta,
-                              w_min=w_min)
+    consts = LearnerConstants(n=sub.rtilde.size, k=k, zeta=zeta)
     rtilde = sub.rtilde
     kprime = sub.kprime
     manifest = {

@@ -110,8 +110,7 @@ def test_criterion_03_oracle_end_to_end():
     src = generate_source(ExperimentConfig(n=20, k=2, seed=3, zeta=0.5))
     rep = width_report(src)
     assert rep.isotropic and rep.zeta >= 0.5
-    res = learn_mixture(OracleInputs(src), k=2, zeta=rep.zeta, omega=4.0, delta=1e-8,
-                        w_min=src.w_min, rng=RngStream(11))
+    res = learn_mixture(OracleInputs(src), k=2, zeta=rep.zeta, rng=RngStream(11))
     cost = mixture_transport(src, res.source).cost
     gate.finish(cost <= 1e-4, f"transport {cost:.2e}")
 
@@ -127,8 +126,7 @@ def test_criterion_04_sampled_end_to_end():
         for seed in range(20):
             rng = RngStream(52_000 + seed)
             inputs = DrawnInputs(src, n_samples, n_samples, n_samples, rng.child(1))
-            res = learn_mixture(inputs, k=2, zeta=rep.zeta, omega=4.0, delta=1e-8,
-                                w_min=src.w_min, rng=rng.child(5))
+            res = learn_mixture(inputs, k=2, zeta=rep.zeta, rng=rng.child(5))
             costs.append(mixture_transport(src, res.source).cost)
         medians[n_samples] = float(np.median(costs))
         if n_samples == 10**6:

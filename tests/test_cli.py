@@ -84,7 +84,7 @@ class TestLearnCommand:
         model = self._model(tmp_path, n=100, k=6, seed=9, zeta=0.1)
         env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
         out = subprocess.run([sys.executable, "-m", "mixlearn", "learn", "--model", str(model),
-                              "--mode", "oracle", "--seed", "1", "--zeta", "0.19619358296779385"],
+                              "--mode", "oracle", "--seed", "38", "--zeta", "0.19619358296779385"],
                              env=env, timeout=60, capture_output=True, text=True)
         assert out.returncode == EXIT_LEARNING
         assert "error: learning failed: annihilator LP failed: objective unbounded below" in out.stderr
@@ -100,6 +100,46 @@ class TestLearnCommand:
         model = self._model(tmp_path)
         rc = main(["learn", "--model", str(model), "--mode", "sampled", "--samples1", "-3"])
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("name", ["samples1", "samples2", "samples-hi"])
+    def test_sampled_mode_needs_a_snapshot_of_each_kind(self, tmp_path, capsys, name):
+        model = self._model(tmp_path)
+        assert main(["learn", "--model", str(model), f"--{name}", "0"]) == EXIT_CONFIG
+        assert "sample counts must be at least 1 in sampled mode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["learn", "--delta", "1e-8"], ["learn", "--omega", "4"], ["learn", "--bogus", "1"],
+        ["generate", "--n", "abc"], ["learn", "--mode", "exact"], ["frobnicate"]])
+    def test_usage_error_exits_3(self, tmp_path, capsys, argv):
+        # argparse's own exit code, 2, is the I/O one
+        model = self._model(tmp_path)
+        assert main([*argv, "--model", str(model)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("usage: mixlearn") and "error: invalid config: " in err
+
+    @pytest.mark.parametrize("argv", [["-h"], ["learn", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_OK
+        assert "usage: mixlearn" in capsys.readouterr().out
+
+    def test_empty_surviving_chunk_exits_1(self, tmp_path, capsys):
+        # sigma = 0.49 keeps few items, and of 2 (2k-1)-snapshots none survives
+        # at seed 4 (seed 2 keeps some): a failed draw, not an invalid config
+        model = self._model(tmp_path, n=20, k=2, zeta=0.5, seed=3)
+        argv = ["learn", "--model", str(model), "--isotropize", "--sigma", "0.49",
+                "--samples1", "100000", "--samples2", "100000", "--samples-hi", "2"]
+        assert main([*argv, "--seed", "4"]) == EXIT_LEARNING
+        assert "learning failed: empty (2k-1)-snapshot chunk" in capsys.readouterr().err
+        assert main([*argv, "--seed", "2"]) == EXIT_OK
+
+    def test_no_poissonized_1_snapshot_exits_1(self, tmp_path, capsys):
+        # Poisson(1) draws 0 at seed 1
+        model = self._model(tmp_path)
+        rc = main(["learn", "--model", str(model), "--poisson", "--samples1", "1", "--seed", "1"])
+        assert rc == EXIT_LEARNING
+        assert "learning failed: no 1-snapshot was drawn" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ['{"n": "abc"}', '{"n": 20,', '[1, 2]', '{"n": true}',
                                       '{"n": 20.0}', '{"zeta": "0.5"}', '{"poisson": 1}'])
@@ -127,7 +167,7 @@ class TestLearnCommand:
     def test_oracle_learn_runs(self, tmp_path, capsys):
         model = self._model(tmp_path)
         rc = main(["learn", "--model", str(model), "--mode", "oracle",
-                   "--zeta", "0.6", "--delta", "1e-8", "--seed", "1"])
+                   "--zeta", "0.6", "--seed", "1"])
         assert rc == EXIT_OK
         out = capsys.readouterr().out.splitlines()
         assert out[0] == CSV_HEADER
@@ -139,7 +179,7 @@ class TestLearnCommand:
         model = self._model(tmp_path)
         args = ["learn", "--model", str(model), "--mode", "sampled", "--seed", "9",
                 "--samples1", "20000", "--samples2", "20000", "--samples-hi", "20000",
-                "--zeta", "0.6", "--delta", "1e-8"]
+                "--zeta", "0.6"]
         rows = []
         for out in ("a.csv", "b.csv"):
             path = tmp_path / out
@@ -154,8 +194,8 @@ class TestLearnCommand:
     def test_config_file_overrides_flags(self, tmp_path, capsys):
         model = self._model(tmp_path)
         cfg_path = tmp_path / "cfg.json"
-        # an int is a valid value for a float field (omega)
-        cfg_path.write_text(json.dumps({"mode": "oracle", "delta": 1e-8, "zeta": 0.6, "omega": 4}))
+        # an int is a valid value for a float field (eps)
+        cfg_path.write_text(json.dumps({"mode": "oracle", "zeta": 0.6, "eps": 1}))
         rc = main(["learn", "--model", str(model), "--mode", "sampled",
                    "--config", str(cfg_path), "--seed", "3"])
         assert rc == EXIT_OK  # oracle mode from the config file wins
@@ -187,7 +227,7 @@ class TestLearnCommand:
     def test_manifest_records_statistics(self, overrides, statistics):
         model = generate_source(ExperimentConfig(n=8, k=2, seed=11, zeta=0.5))
         cfg = ExperimentConfig(n=8, k=2, seed=2, samples1=50000, samples2=50000,
-                               samples_hi=50000, zeta=0.5, delta=1e-8, **overrides)
+                               samples_hi=50000, zeta=0.5, **overrides)
         report, _ = run_learn(cfg, model)
         assert report["manifest"]["statistics"] == statistics
         assert report["manifest"]["mode"] == ("oracle" if statistics == "exact" else "sampled")
@@ -196,7 +236,7 @@ class TestLearnCommand:
     def test_report_model_is_the_model_document(self, mode):
         model = generate_source(ExperimentConfig(n=8, k=2, seed=11, zeta=0.5))
         cfg = ExperimentConfig(n=8, k=2, seed=2, samples1=50000, samples2=50000,
-                               samples_hi=50000, zeta=0.5, delta=1e-8, mode=mode)
+                               samples_hi=50000, zeta=0.5, mode=mode)
         report, learned = run_learn(cfg, model)
         assert report["model"] == json.loads(learned.to_json())
 
@@ -204,7 +244,7 @@ class TestLearnCommand:
         model = self._model(tmp_path)
         rc = main(["learn", "--model", str(model), "--mode", "sampled", "--seed", "4",
                    "--samples1", "20000", "--samples2", "20000", "--samples-hi", "20000",
-                   "--zeta", "0.6", "--delta", "1e-8", "--poisson"])
+                   "--zeta", "0.6", "--poisson"])
         assert rc == EXIT_OK
         out = capsys.readouterr().out.splitlines()
         row = dict(zip(CSV_HEADER.split(","), out[1].split(",")))
@@ -224,7 +264,7 @@ class TestLearnCommand:
         monkeypatch.setattr(learner, "_multinomial_counts", recording_counts)
         model = generate_source(ExperimentConfig(n=12, k=2, seed=5, zeta=0.6))
         cfg = ExperimentConfig(n=12, k=2, seed=4, samples1=20000, samples2=20000,
-                               samples_hi=20000, zeta=0.6, delta=1e-8, poisson=True)
+                               samples_hi=20000, zeta=0.6, poisson=True)
         report, _ = run_learn(cfg, model)
         row = report["row"]
         assert [row["N1"], row["N2"], row["Nhi"]] == drawn
@@ -234,6 +274,7 @@ class TestLearnCommand:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("name", ["zeta", "omega", "delta", "varsigma", "wmin", "eps", "sigma"])
     def test_nonfinite_float_exits_3(self, tmp_path, capsys, name, value, route):
+        # omega and delta are no longer options: a value of theirs exits 3 as unknown
         model = tmp_path / "model.json"
         model.write_text(MixtureSource(np.ones(1), np.full((1, 4), 0.25)).to_json())
         argv = ["learn", "--model", str(model)]
@@ -244,7 +285,13 @@ class TestLearnCommand:
             cfg_path.write_text(json.dumps({name: float(value)}))  # NaN, Infinity, -Infinity
             argv += ["--config", str(cfg_path)]
         assert main(argv) == EXIT_CONFIG
-        assert f"{name} must be finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if name not in ("omega", "delta"):
+            assert f"{name} must be finite" in err
+        elif route == "flag":
+            assert f"unrecognized arguments: --{name}={value}" in err
+        else:
+            assert f"unknown config key {name!r}" in err
 
     def test_isotropize_default_sigma_runs(self, tmp_path):
         # the default sigma splits n = 20 items into about 25600 copies; the
@@ -323,7 +370,7 @@ class TestLearnCommand:
         bound = mixture_transport(model, trivial).cost / 10.0
         for seed in range(20):
             cfg = ExperimentConfig(n=20, k=2, seed=seed, samples1=100000, samples2=100000,
-                                   samples_hi=100000, zeta=0.5, delta=1e-8, isotropize=True,
+                                   samples_hi=100000, zeta=0.5, isotropize=True,
                                    sigma=0.25)
             report, _ = run_learn(cfg, model)
             assert report["kprime"] == 1, seed
@@ -334,7 +381,7 @@ class TestLearnCommand:
         out = tmp_path / "res.csv"
         rc = main(["learn", "--model", str(model), "--mode", "sampled", "--seed", "2",
                    "--samples1", "50000", "--samples2", "50000", "--samples-hi", "50000",
-                   "--zeta", "0.5", "--delta", "1e-8", "--isotropize", "--sigma", "0.25",
+                   "--zeta", "0.5", "--isotropize", "--sigma", "0.25",
                    "--out", str(out)])
         assert rc == EXIT_OK
         report = json.loads((tmp_path / "res.csv.json").read_text())

@@ -22,7 +22,7 @@ from mixlearn.cli import ExperimentConfig, generate_source, run_learn
 from mixlearn.isotropize import build_refinement, estimate_r
 from mixlearn.kspike import empirical_nbm
 from mixlearn.learner import DrawnInputs, OracleInputs
-from mixlearn.model import InputError, LearningFailure, MixtureSource, mixture_transport, width_report
+from mixlearn.model import LearningFailure, MixtureSource, mixture_transport, width_report
 from mixlearn.sampling import RngStream, binarize, draw_snapshots
 from mixlearn.spectral import empirical_M
 
@@ -250,12 +250,13 @@ def test_slots_split_like_rows(total):
 
 
 def test_empty_statistics_are_typed_errors():
+    # a count can come out 0 by the draw (poissonized counts, survivors): a failed run
     stats = DrawnInputs(SOURCE, 0, 0, 0, RngStream(0))
-    with pytest.raises(InputError):
+    with pytest.raises(LearningFailure, match="no 1-snapshot"):
         stats.mean_distribution()
-    with pytest.raises(InputError):
+    with pytest.raises(LearningFailure, match="no 2-snapshot"):
         stats.two_snapshot_matrix()
-    with pytest.raises(InputError):
+    with pytest.raises(LearningFailure, match="empty"):
         stats.direction_nbm(0, POINT_VALUES, K, RngStream(1))
 
 
@@ -272,7 +273,7 @@ def test_sampled_end_to_end_at_criterion_04_settings():
     for n_samples in (10**4, 10**5, 10**6):
         costs = []
         for seed in range(52_000, 52_020):
-            cfg = ExperimentConfig(n=100, k=2, seed=seed, zeta=zeta, delta=1e-8,
+            cfg = ExperimentConfig(n=100, k=2, seed=seed, zeta=zeta,
                                    samples1=n_samples, samples2=n_samples, samples_hi=n_samples)
             report, learned = run_learn(cfg, src)
             assert report["manifest"]["statistics"] == "drawn"
@@ -284,7 +285,7 @@ def test_sampled_end_to_end_at_criterion_04_settings():
 
 def test_billion_samples_run_in_quadratic_memory():
     src, zeta = _criterion_04_source()
-    cfg = ExperimentConfig(n=100, k=2, seed=52_000, zeta=zeta, delta=1e-8,
+    cfg = ExperimentConfig(n=100, k=2, seed=52_000, zeta=zeta,
                            samples1=10**9, samples2=10**9, samples_hi=10**9)
     tracemalloc.start()
     try:
@@ -317,6 +318,6 @@ def _outcome(cfg, model):
        samples=st.integers(100, 10**7))
 def test_replay_gives_identical_report(n, seed, mode, poisson, samples):
     model = _SOURCES[n]
-    cfg = ExperimentConfig(n=n, k=2, seed=seed, zeta=0.5, delta=1e-8, mode=mode, poisson=poisson,
+    cfg = ExperimentConfig(n=n, k=2, seed=seed, zeta=0.5, mode=mode, poisson=poisson,
                            samples1=samples, samples2=samples, samples_hi=samples)
     assert _outcome(cfg, model) == _outcome(cfg, model)
